@@ -13,18 +13,7 @@ sys.path.insert(0, "src")
 
 from ceaf import RandomModelSpec, generate_random
 from ceaf import coalition, fixtures, oracle, semantics
-from ceaf.core import _subsets, instantiated_closure
-
-
-def clear_caches():
-    instantiated_closure.cache_clear()
-    semantics._is_ce.cache_clear()
-    semantics._intrinsic.cache_clear()
-    semantics._view.cache_clear()
-    coalition._one_directional.cache_clear()
-    coalition._rank.cache_clear()
-    coalition._profitable_holds.cache_clear()
-    coalition._max_sets.cache_clear()
+from ceaf.core import _subsets
 
 
 def frameworks():
@@ -99,7 +88,6 @@ def main():
     for name, fw in frameworks():
         if len(fw.arguments) > 7:
             continue
-        clear_caches()
         t0 = time.time()
         problems = check(name, fw)
         status = "ok" if not problems else f"{len(problems)} DIFFS"

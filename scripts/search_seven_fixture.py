@@ -12,7 +12,7 @@ import time
 
 sys.path.insert(0, "src")
 
-from ceaf import core, coalition, semantics
+from ceaf import coalition, semantics
 from ceaf.core import Arg, Framework
 
 CAPS = {"s1": 2, "a2": 2, "a3": 2, "s4": 2, "s5": 2, "s6": 2, "s7": 2}
@@ -105,17 +105,6 @@ TARGET = {
 TARGET_PREF = {setof("s1", "a2", "s7"), setof("a2", "a3", "s7")}
 
 
-def clear_caches():
-    core.instantiated_closure.cache_clear()
-    semantics._is_ce.cache_clear()
-    semantics._intrinsic.cache_clear()
-    semantics._view.cache_clear()
-    coalition._one_directional.cache_clear()
-    coalition._rank.cache_clear()
-    coalition._profitable_holds.cache_clear()
-    coalition._max_sets.cache_clear()
-
-
 def evaluate(config, aggregator, fewer_basis):
     entries = E(*FIXED)
     for name in config:
@@ -159,7 +148,6 @@ def main():
         for combo in itertools.combinations(names, r):
             for aggregator in ("sum", "max"):
                 for fewer_basis in ("own", "shared"):
-                    clear_caches()
                     tried += 1
                     out = evaluate(frozenset(combo), aggregator, fewer_basis)
                     if out is None:

@@ -18,6 +18,7 @@ from .core import (
     NotConflictEliminable,
     SizeLimitExceeded,
     SIZE_LIMIT_DEFAULT,
+    _check_limit,
     validate_axioms,
 )
 
@@ -25,6 +26,10 @@ EXIT_OK = 0
 EXIT_NO = 1
 EXIT_INVALID = 2
 EXIT_USAGE = 3
+
+
+class _UsageError(Exception):
+    """A command line the program cannot act on, such as an unknown id."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,12 +49,11 @@ def _parse_ids(fw: Framework, raw: str) -> frozenset:
     """Comma-separated ids, each at the framework's full capacity."""
     out = set()
     for name in filter(None, (part.strip() for part in raw.split(","))):
-        out.add(fw.by_id(name))
+        try:
+            out.add(fw.by_id(name))
+        except KeyError:
+            raise _UsageError(f"unknown argument id {name!r}") from None
     return frozenset(out)
-
-
-def _load(path: str) -> io_doc.LoadedDocument:
-    return io_doc.load(path)
 
 
 def _emit(args, payload: dict, text_lines) -> None:
@@ -133,8 +137,7 @@ def build_parser() -> _Parser:
 
 
 def _framework(args) -> Framework:
-    doc = _load(args.file)
-    fw = doc.framework
+    fw = io_doc.load(args.file).framework
     if args.variant_policy and args.variant_policy != fw.strengths.variant_policy:
         fw = Framework(
             fw.arguments, replace(fw.strengths, variant_policy=args.variant_policy)
@@ -147,26 +150,26 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (io_doc.ParseError, io_doc.ValidationError) as exc:
+    except (
+        io_doc.ParseError,
+        io_doc.ValidationError,
+        NotConflictEliminable,
+        npreduction.PreconditionUnmet,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (NotConflictEliminable, npreduction.PreconditionUnmet) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except SizeLimitExceeded as exc:
+    except (SizeLimitExceeded, _UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except KeyError as exc:
-        print(f"error: unknown argument id {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except OSError as exc:  # the engine does no I/O: a document path failed
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
 
 
 def _dispatch(args) -> int:
     if args.command == "validate":
         fw = _framework(args)
+        _check_limit(fw, args.limit)
         report = validate_axioms(fw)
         if report.ok:
             _emit(args, {"ok": True, "violations": []}, ["ok"])
@@ -266,7 +269,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "np":
-        doc = _load(args.file)
+        doc = io_doc.load(args.file)
         np = doc.np if doc.np is not None else npreduction.to_np(doc.framework)
         sets = npreduction.np_semantics(np, args.kind, args.limit)
         _emit(
@@ -277,8 +280,10 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "check":
-        fw = _framework(args)
         theorem = args.theorem.upper()
+        if theorem not in oracle.THEOREM_IDS:
+            raise _UsageError(f"unknown theorem id {theorem!r}")
+        fw = _framework(args)
         if theorem == "T1":
             report = npreduction.check_reduction(fw, args.limit)
             ok = report.ok
@@ -307,6 +312,8 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "random":
+        if args.capacity_min > args.capacity_max:
+            raise _UsageError("--capacity-min exceeds --capacity-max")
         spec = oracle.RandomModelSpec(
             argument_count=args.count,
             capacity_range=(args.capacity_min, args.capacity_max),

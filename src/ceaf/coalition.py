@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Literal
 
 from .core import (
@@ -24,10 +23,11 @@ from .core import (
     Framework,
     NotConflictEliminable,
     SIZE_LIMIT_DEFAULT,
+    _check_limit,
     _fmt,
+    _memoised,
     _subsets,
 )
-from . import semantics
 from .semantics import (
     _is_ce,
     _minimal_attack_sets,
@@ -54,7 +54,7 @@ class StateRank(enum.IntEnum):
     CADMISSIBLE = 2
 
 
-@lru_cache(maxsize=None)
+@_memoised
 def _one_directional(fw: Framework, subset: frozenset) -> bool:
     if not _is_ce(fw, subset):
         raise NotConflictEliminable(_fmt(subset))
@@ -72,7 +72,7 @@ def is_one_directionally_attacked(fw: Framework, subset: Iterable[Arg]) -> bool:
     return _one_directional(fw, frozenset(subset))
 
 
-@lru_cache(maxsize=None)
+@_memoised
 def _rank(fw: Framework, subset: frozenset) -> StateRank:
     if not _is_ce(fw, subset):
         raise NotConflictEliminable(_fmt(subset))
@@ -183,16 +183,16 @@ def profitable(
     )
 
 
-@lru_cache(maxsize=None)
+@_memoised
 def _profitable_holds(fw: Framework, first: frozenset, second: frozenset) -> bool:
     return profitable(fw, first, second).holds
 
 
-@lru_cache(maxsize=None)
-def _max_sets(fw: Framework, subset: frozenset, limit: int) -> tuple:
+@_memoised
+def _max_sets(fw: Framework, subset: frozenset) -> tuple:
+    """Callers check the size limit first: it is not part of the memo key."""
     if not _is_ce(fw, subset):
         raise NotConflictEliminable(_fmt(subset))
-    semantics._check_limit(fw, limit)
     rest = fw.arguments - subset
     reachable = [
         subset | extra
@@ -209,7 +209,8 @@ def max_sets(
     fw: Framework, subset: Iterable[Arg], limit: int = SIZE_LIMIT_DEFAULT
 ) -> list:
     """All profit-maximal supersets of the given conflict-eliminable set."""
-    return list(_max_sets(fw, frozenset(subset), limit))
+    _check_limit(fw, limit)
+    return list(_max_sets(fw, frozenset(subset)))
 
 
 def pref_supersets(
@@ -277,8 +278,9 @@ def max_profitable(
     first, second = frozenset(first), frozenset(second)
     if not profitable(fw, first, second).holds:
         return False
-    firsts = _max_sets(fw, first, limit)
-    seconds = _max_sets(fw, second, limit)
+    _check_limit(fw, limit)
+    firsts = _max_sets(fw, first)
+    seconds = _max_sets(fw, second)
 
     def survives(sx: frozenset) -> bool:
         for sy in firsts:
@@ -303,9 +305,8 @@ def is_weakly_continuous(
     subset = frozenset(subset)
     if not _is_ce(fw, subset):
         raise NotConflictEliminable(_fmt(subset))
-    return any(
-        _continuous_via(fw, subset, sz) for sz in _max_sets(fw, subset, limit)
-    )
+    _check_limit(fw, limit)
+    return any(_continuous_via(fw, subset, sz) for sz in _max_sets(fw, subset))
 
 
 def is_continuous(
@@ -315,9 +316,8 @@ def is_continuous(
     subset = frozenset(subset)
     if not _is_ce(fw, subset):
         raise NotConflictEliminable(_fmt(subset))
-    return all(
-        _continuous_via(fw, subset, sz) for sz in _max_sets(fw, subset, limit)
-    )
+    _check_limit(fw, limit)
+    return all(_continuous_via(fw, subset, sz) for sz in _max_sets(fw, subset))
 
 
 def _continuous_via(fw: Framework, subset: frozenset, sz: frozenset) -> bool:
@@ -354,7 +354,7 @@ def formability(
         raise ValueError(f"unknown formability kind {kind!r}")
     if not _is_ce(fw, subset):
         raise NotConflictEliminable(_fmt(subset))
-    semantics._check_limit(fw, limit)
+    _check_limit(fw, limit)
 
     if kind in ("W", "M"):
         relation = lambda a, b: _profitable_holds(fw, a, b)

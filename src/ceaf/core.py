@@ -12,9 +12,10 @@ axioms of the attack-strength function over the finite instantiated domain.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Literal, Mapping, Optional
 
 Aggregator = Literal["max", "sum", "explicit-only"]
@@ -25,6 +26,13 @@ SIZE_LIMIT_DEFAULT = 16
 
 class SizeLimitExceeded(Exception):
     """Raised when an exhaustive enumeration would exceed the configured bound."""
+
+
+def _check_limit(fw, limit: int = SIZE_LIMIT_DEFAULT) -> None:
+    if len(fw.arguments) > limit:
+        raise SizeLimitExceeded(
+            f"framework has {len(fw.arguments)} arguments (> {limit})"
+        )
 
 
 class NotConflictEliminable(Exception):
@@ -232,10 +240,14 @@ class StrengthModel:
 
 @dataclass(frozen=True)
 class Framework:
-    """A coherent set of arguments together with a strength model."""
+    """A coherent set of arguments together with a strength model; it owns
+    the memo tables (see ``_memoised``) of the queries asked of it."""
 
     arguments: frozenset
     strengths: StrengthModel
+
+    def __post_init__(self):
+        object.__setattr__(self, "_memo", defaultdict(dict))
 
     @staticmethod
     def build(
@@ -291,7 +303,21 @@ def _id_unique_subsets(instances, include_empty=False):
             yield s
 
 
-@lru_cache(maxsize=None)
+def _memoised(fn):
+    """Memoise ``fn(fw, *key)`` in ``fw``'s own table for ``fn``.  A call that
+    raises stores nothing."""
+
+    @functools.wraps(fn)
+    def memo(fw: Framework, *key):
+        table = fw._memo[fn]
+        if key not in table:
+            table[key] = fn(fw, *key)
+        return table[key]
+
+    return memo
+
+
+@_memoised
 def instantiated_closure(fw: Framework) -> frozenset:
     """All instances the semantics can touch: base arguments, every instance
     mentioned in the strength table, and every reduced-capacity instance that
@@ -303,10 +329,6 @@ def instantiated_closure(fw: Framework) -> frozenset:
         if semantics.is_conflict_eliminable(fw, subset):
             closure.update(semantics.intrinsic(fw, subset))
     return frozenset(closure)
-
-
-def _resolves(fw: Framework, attackers, target) -> Optional[int]:
-    return fw.strengths.strength(attackers, target)
 
 
 def validate_axioms(
@@ -323,6 +345,7 @@ def validate_axioms(
     self-attack ban, which is the regime used for the reduction to plain
     group-attack frameworks.
     """
+    _check_limit(fw, max_domain)
     violations = list(validate_coherent(fw.arguments).violations)
 
     for (attackers, target), v in sorted(fw.strengths._lookup.items()):
@@ -361,7 +384,7 @@ def validate_axioms(
     resolved: dict = {}
     for t in targets:
         for s in attacker_sets:
-            v = _resolves(fw, s, t)
+            v = fw.strengths.strength(s, t)
             if v is not None:
                 resolved[(s, t)] = v
 

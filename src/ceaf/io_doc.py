@@ -117,11 +117,11 @@ class LoadedDocument:
 
 
 def _instance(raw, capacities, *, where: str) -> Arg:
-    if isinstance(raw, str):
-        if raw not in capacities:
-            raise ValidationError(f"{where}: unknown argument id {raw!r}")
-        return Arg(raw, capacities[raw])
-    name, capacity = raw
+    name, capacity = (raw, capacities.get(raw)) if isinstance(raw, str) else raw
+    if name not in capacities:
+        raise ValidationError(f"{where}: unknown argument id {name!r}")
+    if capacity < 1:
+        raise ValidationError(f"{where}: capacity of {name!r} is {capacity}, not >= 1")
     return Arg(name, capacity)
 
 
@@ -158,9 +158,13 @@ def loads(text: str) -> LoadedDocument:
     entries = {}
     for i, attack in enumerate(payload["attacks"]):
         where = f"attacks[{i}]"
-        attackers = frozenset(
-            _instance(raw, capacities, where=where) for raw in attack["from"]
-        )
+        by_id = {}
+        for raw in attack["from"]:
+            a = _instance(raw, capacities, where=where)
+            if a.id in by_id:
+                raise ValidationError(f"{where}: argument id {a.id!r} twice in 'from'")
+            by_id[a.id] = a
+        attackers = frozenset(by_id.values())
         target = _instance(attack["to"], capacities, where=where)
         strength = attack.get("strength")
         if strength is None:

@@ -18,9 +18,9 @@ from typing import FrozenSet, Iterable, Literal
 from .core import (
     Framework,
     SIZE_LIMIT_DEFAULT,
-    SizeLimitExceeded,
     ValidationReport,
     Violation,
+    _check_limit,
     _subsets,
 )
 from . import semantics
@@ -95,10 +95,7 @@ def np_semantics(
     np: NPFramework, kind: NPKind, limit: int = SIZE_LIMIT_DEFAULT
 ) -> list:
     """Exhaustively enumerate conflict-free / admissible / preferred sets."""
-    if len(np.arguments) > limit:
-        raise SizeLimitExceeded(
-            f"framework has {len(np.arguments)} arguments (> {limit})"
-        )
+    _check_limit(np, limit)
     subsets = list(_subsets(np.arguments, include_empty=True))
     if kind == "conflict-free":
         chosen = [s for s in subsets if np_conflict_free(np, s)]
@@ -137,10 +134,7 @@ def check_reduction(fw: Framework, limit: int = SIZE_LIMIT_DEFAULT) -> Validatio
                 f"attack on {target} with strength {v} does not defeat it"
             )
 
-    if len(fw.arguments) > limit:
-        raise SizeLimitExceeded(
-            f"framework has {len(fw.arguments)} arguments (> {limit})"
-        )
+    _check_limit(fw, limit)
 
     np = to_np(fw)
     ids = lambda s: frozenset(a.id for a in s)

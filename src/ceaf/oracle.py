@@ -403,12 +403,6 @@ def _check_P6(fw: Framework):
     return None
 
 
-def _check_P7(fw: Framework):
-    # placeholder: axiom independence is a property of specific fixtures and
-    # is asserted in the test suite rather than per-framework
-    return None
-
-
 def _check_T1(fw: Framework):
     from .npreduction import check_reduction
 
@@ -559,7 +553,6 @@ _CHECKERS = {
     "P4": _check_P4,
     "P5": _check_P5,
     "P6": _check_P6,
-    "P7": _check_P7,
     "T1": _check_T1,
     "T2": _check_T2,
     "T3": _check_T3,

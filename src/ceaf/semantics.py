@@ -15,25 +15,35 @@ the original, full-capacity members.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Optional
 
 from .core import (
     Arg,
     Framework,
     NotConflictEliminable,
-    SizeLimitExceeded,
     SIZE_LIMIT_DEFAULT,
+    _check_limit,
     _fmt,
+    _memoised,
     _subsets,
 )
 
 
-def _check_limit(fw: Framework, limit: int = SIZE_LIMIT_DEFAULT) -> None:
-    if len(fw.arguments) > limit:
-        raise SizeLimitExceeded(
-            f"framework has {len(fw.arguments)} arguments (> {limit})"
-        )
+def _persist_projections(model, pool: frozenset, target: Arg):
+    """Under persist, every listed entry on ``target`` whose identifiers are
+    distinct and all carried by the id-unique ``pool``, projected onto the
+    pool's instances of those identifiers."""
+    if model.variant_policy != "persist":
+        return
+    by_id = {a.id: a for a in pool}
+    if len(by_id) != len(pool):
+        return
+    for key, t in model._lookup:
+        if t != target:
+            continue
+        ids = [a.id for a in key]
+        if len(set(ids)) == len(ids) and set(ids) <= set(by_id):
+            yield frozenset(by_id[i] for i in ids)
 
 
 def _resolving_candidates(fw: Framework, attackers: frozenset, target: Arg):
@@ -52,15 +62,7 @@ def _resolving_candidates(fw: Framework, attackers: frozenset, target: Arg):
     for (key, t) in model._lookup:
         if t == target and key and key <= attackers:
             yield key
-    if model.variant_policy == "persist":
-        by_id = {a.id: a for a in attackers}
-        if len(by_id) == len(attackers):
-            for (key, t), _ in model._lookup.items():
-                if t != target:
-                    continue
-                ids = [a.id for a in key]
-                if len(set(ids)) == len(ids) and set(ids) <= set(by_id):
-                    yield frozenset(by_id[i] for i in ids)
+    yield from _persist_projections(model, attackers, target)
 
 
 def attacks(fw: Framework, attackers: Iterable[Arg], target: Arg) -> bool:
@@ -73,24 +75,25 @@ def attacks(fw: Framework, attackers: Iterable[Arg], target: Arg) -> bool:
     return False
 
 
-def max_attack_strength(fw: Framework, attackers: Iterable[Arg], target: Arg) -> int:
-    """The maximum defined strength over subsets of ``attackers`` against
-    ``target``; 0 when no subset attacks."""
-    attackers = frozenset(attackers)
+def _strongest(fw: Framework, lookup, attackers: frozenset, target: Arg) -> int:
+    """The maximum strength ``lookup`` gives a subset of ``attackers`` against
+    ``target``; 0 when it gives none."""
     best = 0
     seen = set()
     for cand in _resolving_candidates(fw, attackers, target):
         if cand in seen:
             continue
         seen.add(cand)
-        v = fw.strengths.strength(cand, target)
+        v = lookup(cand, target)
         if v is not None and v > best:
             best = v
     return best
 
 
-# short name used throughout the enumerations
-vmax = max_attack_strength
+def max_attack_strength(fw: Framework, attackers: Iterable[Arg], target: Arg) -> int:
+    """The maximum defined strength over subsets of ``attackers`` against
+    ``target``; 0 when no subset attacks."""
+    return _strongest(fw, fw.strengths.strength, frozenset(attackers), target)
 
 
 def defeats(fw: Framework, attackers: Iterable[Arg], target: Arg) -> bool:
@@ -102,7 +105,7 @@ def defeats(fw: Framework, attackers: Iterable[Arg], target: Arg) -> bool:
     return max_attack_strength(fw, attackers, target) >= target.capacity
 
 
-@lru_cache(maxsize=None)
+@_memoised
 def _is_ce(fw: Framework, subset: frozenset) -> bool:
     return all(not defeats(fw, subset, s) for s in subset)
 
@@ -112,7 +115,7 @@ def is_conflict_eliminable(fw: Framework, subset: Iterable[Arg]) -> bool:
     return _is_ce(fw, frozenset(subset))
 
 
-@lru_cache(maxsize=None)
+@_memoised
 def _intrinsic(fw: Framework, subset: frozenset) -> frozenset:
     if not _is_ce(fw, subset):
         raise NotConflictEliminable(_fmt(subset))
@@ -145,15 +148,8 @@ class View:
             return None
         return self.framework.strengths.strength(attackers, target)
 
-    def attacks(self, attackers: Iterable[Arg], target: Arg) -> bool:
-        attackers = frozenset(attackers)
-        for cand in _resolving_candidates(self.framework, attackers, target):
-            if self.strength(cand, target) is not None:
-                return True
-        return False
 
-
-@lru_cache(maxsize=None)
+@_memoised
 def _view(fw: Framework, subset: frozenset) -> View:
     alpha = _intrinsic(fw, subset)
     args = (fw.arguments - subset) | alpha
@@ -181,21 +177,6 @@ def view(fw: Framework, subset: Iterable[Arg]) -> View:
     return _view(fw, frozenset(subset))
 
 
-def _view_vmax(fw: Framework, vw: View, attackers: frozenset, target: Arg) -> int:
-    """Maximum view strength over subsets of ``attackers`` against ``target``;
-    0 when none is defined."""
-    best = 0
-    seen = set()
-    for cand in _resolving_candidates(fw, attackers, target):
-        if cand in seen:
-            continue
-        seen.add(cand)
-        s = vw.strength(cand, target)
-        if s is not None and s > best:
-            best = s
-    return best
-
-
 def c_attacks(fw: Framework, subset: Iterable[Arg], target: Arg) -> bool:
     """Does some subset of the coalition's intrinsic arguments carry a defined
     strength against ``target`` inside the coalition's view?  False when the
@@ -217,7 +198,7 @@ def c_defeats(fw: Framework, subset: Iterable[Arg], target: Arg) -> bool:
     if not _is_ce(fw, subset):
         return False
     vw = _view(fw, subset)
-    best = _view_vmax(fw, vw, vw.alpha, target)
+    best = _strongest(fw, vw.strength, vw.alpha, target)
     return 0 < best and best >= target.capacity
 
 
@@ -241,22 +222,13 @@ def _minimal_attack_sets(fw: Framework, vw: View, target: Arg):
             continue
         found = {f for f in found if not key < f}
         found.add(key)
-    if model.variant_policy == "persist":
-        by_id = {a.id: a for a in vw.arguments}
-        if len(by_id) == len(vw.arguments):
-            for (key, t), _ in model._lookup.items():
-                if t != target:
-                    continue
-                ids = [a.id for a in key]
-                if len(set(ids)) != len(ids) or not set(ids) <= set(by_id):
-                    continue
-                proj = frozenset(by_id[i] for i in ids)
-                if vw.strength(proj, target) is None:
-                    continue
-                if any(f <= proj for f in found):
-                    continue
-                found = {f for f in found if not proj < f}
-                found.add(proj)
+    for proj in _persist_projections(model, vw.arguments, target):
+        if vw.strength(proj, target) is None:
+            continue
+        if any(f <= proj for f in found):
+            continue
+        found = {f for f in found if not proj < f}
+        found.add(proj)
     return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 

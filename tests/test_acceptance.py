@@ -14,7 +14,7 @@ from ceaf import (
     io_doc,
 )
 from ceaf import coalition, fixtures, oracle, semantics
-from ceaf.core import _subsets, instantiated_closure
+from ceaf.core import _subsets
 from ceaf.oracle import generate_random_restricted
 from conftest import by_ids
 
@@ -25,19 +25,8 @@ FIXDIR = ROOT / "fixtures"
 GOLDDIR = FIXDIR / "goldens"
 
 
-def clear_caches():
-    instantiated_closure.cache_clear()
-    semantics._is_ce.cache_clear()
-    semantics._intrinsic.cache_clear()
-    semantics._view.cache_clear()
-    coalition._one_directional.cache_clear()
-    coalition._rank.cache_clear()
-    coalition._profitable_holds.cache_clear()
-    coalition._max_sets.cache_clear()
-
-
-def test_c1_intrinsic_arguments_of_running_example(ldp):
-    clear_caches()
+def test_c1_intrinsic_arguments_of_running_example():
+    ldp = fixtures.ldp()  # fresh, so the bound times a cold run
     start = time.monotonic()
     assert semantics.intrinsic(ldp, by_ids(ldp, "a1", "a3")) == {
         Arg("a1", 1),
@@ -102,8 +91,8 @@ def _partners(fw, kind):
     }
 
 
-def test_c3_formability_equations_w_m_ws(seven):
-    clear_caches()
+def test_c3_formability_equations_w_m_ws():
+    seven = fixtures.seven()  # fresh, so the bound times a cold run
     start = time.monotonic()
     for kind in ("W", "M", "WS"):
         assert _partners(seven, kind) == SEVEN_TARGETS[kind], kind
@@ -176,7 +165,6 @@ PROPERTY_THEOREMS = ("L1", "P2", "P4", "P5", "T2", "T3", "T10")
 
 
 def test_c6_property_suite(ldp, seven, asym, disc, indep_larger):
-    clear_caches()
     small = [ldp, asym, disc, indep_larger]
     for fw in small:
         for theorem in PROPERTY_THEOREMS:
@@ -235,7 +223,6 @@ def test_c6_theorem4_maximality(ldp, asym, disc, indep_larger):
 
 
 def test_c7_reduction_on_random_restricted_frameworks():
-    clear_caches()
     start = time.monotonic()
     for seed in range(50):
         fw = generate_random_restricted(

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from ceaf import (
@@ -20,6 +23,7 @@ from ceaf import (
     state_rank,
     undefeated_external,
 )
+from ceaf import fixtures, semantics
 from ceaf.coalition import crit_less, state_leq_literal
 from conftest import by_ids
 
@@ -226,3 +230,13 @@ def test_formability_attack_free():
     x2 = frozenset([fw.by_id("x2")])
     for kind in ("W", "M", "WS", "S"):
         assert formability(fw, kind, x1).partners == (x2,)
+
+
+def test_memo_tables_are_released_with_the_framework():
+    fw = fixtures.ldp()
+    formability(fw, "WS", by_ids(fw, "a1"))
+    semantics.view(fw, by_ids(fw, "a1", "a3"))
+    ref = weakref.ref(fw)
+    del fw
+    gc.collect()
+    assert ref() is None

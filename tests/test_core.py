@@ -3,6 +3,7 @@ import pytest
 from ceaf import (
     Arg,
     Framework,
+    SizeLimitExceeded,
     instantiated_closure,
     validate_axioms,
     validate_coherent,
@@ -188,6 +189,13 @@ def test_instantiated_closure_contains_intrinsic_variants(ldp):
     assert Arg("a3", 2) in closure
     assert Arg("a2", 1) in closure
     assert Arg("a3", 4) in closure
+
+
+def test_validate_axioms_checks_size_before_the_closure():
+    # the closure walks all 2^40 subsets; the guard must refuse first
+    fw = Framework.build([Arg(f"x{i}", 1) for i in range(40)], {})
+    with pytest.raises(SizeLimitExceeded, match="40 arguments"):
+        validate_axioms(fw)
 
 
 def test_framework_roundtrips_by_id(ldp):

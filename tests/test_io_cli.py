@@ -192,6 +192,45 @@ def test_cli_validate_rejects_incoherent(capsys, tmp_path):
     assert "capacity" in err
 
 
+def test_cli_validate_honours_limit(capsys):
+    code, out, err = run_cli(
+        capsys, "--limit", "3", "validate", str(FIXDIR / "ldp.json")
+    )
+    assert code == 3
+    assert out == ""
+    assert "4 arguments" in err
+
+
+def test_cli_validate_unreadable_document(capsys, tmp_path):
+    missing = tmp_path / "missing.json"
+    code, _, err = run_cli(capsys, "validate", str(missing))
+    assert code == 3
+    assert str(missing) in err
+
+
+@pytest.mark.parametrize(
+    "attack, message",
+    [
+        ({"from": [["zz", 1]], "to": "y", "strength": 1}, "unknown argument id 'zz'"),
+        ({"from": [["x", 0]], "to": "y", "strength": 1}, "capacity of 'x' is 0"),
+        ({"from": ["x", ["x", 1]], "to": "y", "strength": 1}, "argument id 'x' twice"),
+    ],
+    ids=["unknown-id", "zero-capacity", "repeated-id"],
+)
+def test_cli_validate_rejects_bad_attack_instances(capsys, tmp_path, attack, message):
+    payload = {
+        "version": "1",
+        "arguments": [{"id": "x", "capacity": 2}, {"id": "y", "capacity": 2}],
+        "attacks": [{"from": ["x"], "to": "y", "strength": 1}, attack],
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"attacks[1]: {message}" in err
+
+
 def test_cli_semantics(capsys):
     code, out, _ = run_cli(
         capsys, "semantics", str(FIXDIR / "disc.json"), "--kind", "c-preferred"
@@ -329,6 +368,15 @@ def test_cli_random_round_trip(capsys, tmp_path):
     assert code2 == 0
 
 
+def test_cli_random_rejects_empty_capacity_range(capsys, tmp_path):
+    out_path = tmp_path / "random.json"
+    argv = ["random", "--args", "3", "--capacity-min", "5", "--capacity-max", "2"]
+    code, _, err = run_cli(capsys, *argv, "-o", str(out_path))
+    assert code == 3
+    assert "--capacity-min exceeds --capacity-max" in err
+    assert not out_path.exists()
+
+
 def test_cli_json_output_deterministic(capsys):
     args = (
         "--json",
@@ -364,6 +412,26 @@ def test_cli_unknown_theorem(capsys):
         capsys, "check", str(FIXDIR / "ldp.json"), "--theorem", "Z9"
     )
     assert code == 3
+
+
+def test_cli_p7_is_an_unknown_theorem(capsys):
+    code, out, err = run_cli(
+        capsys, "check", str(FIXDIR / "seven.json"), "--theorem", "P7"
+    )
+    assert code == 3
+    assert out == ""
+    assert "unknown theorem id 'P7'" in err
+
+
+def test_cli_engine_key_error_propagates(capsys, monkeypatch):
+    from ceaf import semantics
+
+    def broken(fw, subset):
+        raise KeyError("engine bug")
+
+    monkeypatch.setattr(semantics, "view", broken)
+    with pytest.raises(KeyError, match="engine bug"):
+        main(["view", str(FIXDIR / "ldp.json"), "--set", "a1"])
 
 
 def test_cli_limit_flag(capsys):
