@@ -1,5 +1,9 @@
 """Verify the frozen claims of the small fixtures against the engine."""
 
+import sys
+
+sys.path.insert(0, "src")
+
 from ceaf import fixtures, validate_axioms
 from ceaf import coalition as co
 from ceaf import semantics as sem

@@ -19,6 +19,7 @@ from .core import (
     SizeLimitExceeded,
     SIZE_LIMIT_DEFAULT,
     _check_limit,
+    _fmt,
     validate_axioms,
 )
 
@@ -35,10 +36,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _fmt_set(instances) -> str:
-    return "{" + ", ".join(str(a) for a in sorted(instances)) + "}"
 
 
 def _json_set(instances) -> list:
@@ -195,7 +192,7 @@ def _dispatch(args) -> int:
         _emit(
             args,
             {"kind": args.kind, "sets": [_json_set(s) for s in sets]},
-            [_fmt_set(s) for s in sets],
+            [_fmt(s) for s in sets],
         )
         return EXIT_OK
 
@@ -222,8 +219,8 @@ def _dispatch(args) -> int:
             "diagnostics": list(vw.diagnostics),
         }
         lines = [
-            f"intrinsic: {_fmt_set(vw.alpha)}",
-            f"arguments: {_fmt_set(vw.arguments)}",
+            f"intrinsic: {_fmt(vw.alpha)}",
+            f"arguments: {_fmt(vw.arguments)}",
         ] + [
             "attack: {"
             + ", ".join(f"{i}({c})" for i, c in froms)
@@ -264,7 +261,7 @@ def _dispatch(args) -> int:
                 "base": _json_set(base),
                 "partners": [_json_set(p) for p in partners],
             },
-            [_fmt_set(p) for p in partners],
+            [_fmt(p) for p in partners],
         )
         return EXIT_OK
 

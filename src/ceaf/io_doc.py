@@ -13,80 +13,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
-import jsonschema
-
 from .core import Arg, Framework, StrengthModel, ValidationReport, validate_coherent
 from .npreduction import NPFramework, to_np
 
 FORMAT_VERSION = "1"
-
-SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["version", "arguments", "attacks"],
-    "properties": {
-        "version": {"type": "string"},
-        "mode": {"enum": ["weighted", "nielsen-parsons"]},
-        "aggregator": {"enum": ["max", "sum", "explicit-only"]},
-        "variantPolicy": {"enum": ["strict", "persist"]},
-        "arguments": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["id"],
-                "properties": {
-                    "id": {"type": "string"},
-                    "capacity": {"type": "integer"},
-                },
-                "additionalProperties": False,
-            },
-        },
-        "attacks": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["from", "to"],
-                "properties": {
-                    "from": {
-                        "type": "array",
-                        "minItems": 1,
-                        "items": {
-                            "anyOf": [
-                                {"type": "string"},
-                                {
-                                    "type": "array",
-                                    "prefixItems": [
-                                        {"type": "string"},
-                                        {"type": "integer"},
-                                    ],
-                                    "minItems": 2,
-                                    "maxItems": 2,
-                                },
-                            ]
-                        },
-                    },
-                    "to": {
-                        "anyOf": [
-                            {"type": "string"},
-                            {
-                                "type": "array",
-                                "prefixItems": [
-                                    {"type": "string"},
-                                    {"type": "integer"},
-                                ],
-                                "minItems": 2,
-                                "maxItems": 2,
-                            },
-                        ]
-                    },
-                    "strength": {"type": "integer"},
-                },
-                "additionalProperties": False,
-            },
-        },
-    },
-    "additionalProperties": False,
-}
 
 
 class ParseError(Exception):
@@ -116,8 +46,53 @@ class LoadedDocument:
     np: Optional[NPFramework] = None
 
 
+_KINDS = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _fail(where: str, expected: str, value) -> ValidationError:
+    return ValidationError(f"{where}: expected {expected}, got {json.dumps(value)}")
+
+
+def _typed(value, kind: type, where: str):
+    if not isinstance(value, kind):
+        raise _fail(where, _KINDS[kind], value)
+    return value
+
+
+def _object(value, where: str, required: tuple, optional: tuple) -> None:
+    _typed(value, dict, where)
+    for key in required:
+        if key not in value:
+            raise ValidationError(f"{where}: missing key {key!r}")
+    for key in value:
+        if key not in required and key not in optional:
+            raise ValidationError(f"{where}: unknown key {key!r}")
+
+
+def _integer(value, where: str) -> int:
+    """A JSON Schema integer: an int that is not a bool, or an integral
+    float, which is stored as the int it equals."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise _fail(where, "an integer", value)
+    return value
+
+
+def _choice(payload: dict, key: str, default: str, choices: tuple) -> str:
+    value = payload.get(key, default)
+    if value not in choices:
+        raise _fail(key, "one of " + ", ".join(choices), value)
+    return value
+
+
 def _instance(raw, capacities, *, where: str) -> Arg:
-    name, capacity = (raw, capacities.get(raw)) if isinstance(raw, str) else raw
+    if isinstance(raw, str):
+        name, capacity = raw, capacities.get(raw)
+    elif isinstance(raw, list) and len(raw) == 2:
+        name, capacity = _typed(raw[0], str, where), _integer(raw[1], where)
+    else:
+        raise _fail(where, "an id or an [id, capacity] pair", raw)
     if name not in capacities:
         raise ValidationError(f"{where}: unknown argument id {name!r}")
     if capacity < 1:
@@ -126,51 +101,70 @@ def _instance(raw, capacities, *, where: str) -> Arg:
 
 
 def loads(text: str) -> LoadedDocument:
+    """Parse a document, rejecting with a located message everything
+    ``schema/framework-document.schema.json`` rejects and everything the
+    model cannot mean."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from exc
-    try:
-        jsonschema.validate(payload, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path)
-        raise ValidationError(f"schema violation at /{path}: {exc.message}")
-
-    mode = payload.get("mode", "weighted")
+    _object(
+        payload,
+        "document",
+        ("version", "arguments", "attacks"),
+        ("mode", "aggregator", "variantPolicy"),
+    )
+    _typed(payload["version"], str, "version")
+    mode = _choice(payload, "mode", "weighted", ("weighted", "nielsen-parsons"))
     np_mode = mode == "nielsen-parsons"
     default_capacity = 1 if np_mode else None
+    aggregator = _choice(
+        payload,
+        "aggregator",
+        "explicit-only" if np_mode else "max",
+        ("max", "sum", "explicit-only"),
+    )
+    variant_policy = _choice(payload, "variantPolicy", "strict", ("strict", "persist"))
 
     capacities = {}
     members = []
-    for spec in payload["arguments"]:
-        capacity = spec.get("capacity", default_capacity)
+    for i, spec in enumerate(_typed(payload["arguments"], list, "arguments")):
+        where = f"arguments[{i}]"
+        _object(spec, where, ("id",), ("capacity",))
+        name = _typed(spec["id"], str, where)
+        capacity = default_capacity
+        if "capacity" in spec:
+            capacity = _integer(spec["capacity"], where)
         if capacity is None:
-            raise ValidationError(
-                f"argument {spec['id']!r} has no capacity (required in weighted mode)"
-            )
-        capacities[spec["id"]] = capacity
-        members.append(Arg(spec["id"], capacity))
+            raise ValidationError(f"{where}: capacity required in weighted mode")
+        capacities[name] = capacity
+        members.append(Arg(name, capacity))
 
     report = validate_coherent(members)
     if not report.ok:
         raise ValidationError("incoherent argument set", report)
 
     entries = {}
-    for i, attack in enumerate(payload["attacks"]):
+    for i, attack in enumerate(_typed(payload["attacks"], list, "attacks")):
         where = f"attacks[{i}]"
+        _object(attack, where, ("from", "to"), ("strength",))
+        sources = _typed(attack["from"], list, where)
+        if not sources:
+            raise ValidationError(f"{where}: 'from' is empty")
         by_id = {}
-        for raw in attack["from"]:
+        for raw in sources:
             a = _instance(raw, capacities, where=where)
             if a.id in by_id:
                 raise ValidationError(f"{where}: argument id {a.id!r} twice in 'from'")
             by_id[a.id] = a
         attackers = frozenset(by_id.values())
         target = _instance(attack["to"], capacities, where=where)
-        strength = attack.get("strength")
-        if strength is None:
-            if not np_mode:
-                raise ValidationError(f"{where}: strength required in weighted mode")
+        if "strength" in attack:
+            strength = _integer(attack["strength"], where)
+        elif np_mode:
             strength = target.capacity
+        else:
+            raise ValidationError(f"{where}: strength required in weighted mode")
         if strength < 1:
             raise ValidationError(f"{where}: strength must be >= 1, got {strength}")
         if target in attackers:
@@ -180,8 +174,6 @@ def loads(text: str) -> LoadedDocument:
             raise ValidationError(f"{where}: conflicting strengths for one attack")
         entries[key] = strength
 
-    aggregator = payload.get("aggregator", "explicit-only" if np_mode else "max")
-    variant_policy = payload.get("variantPolicy", "strict")
     fw = Framework(
         frozenset(members),
         StrengthModel.from_entries(entries, aggregator, variant_policy),

@@ -22,6 +22,7 @@ from .core import (
     Framework,
     NotConflictEliminable,
     SIZE_LIMIT_DEFAULT,
+    StrengthModel,
     _check_limit,
     _fmt,
     _memoised,
@@ -65,14 +66,19 @@ def _resolving_candidates(fw: Framework, attackers: frozenset, target: Arg):
     yield from _persist_projections(model, attackers, target)
 
 
+def _attacked(fw: Framework, lookup, attackers: frozenset, target: Arg) -> bool:
+    """Does ``lookup`` give some subset of ``attackers`` a strength against
+    ``target``?"""
+    return any(
+        lookup(cand, target) is not None
+        for cand in _resolving_candidates(fw, attackers, target)
+    )
+
+
 def attacks(fw: Framework, attackers: Iterable[Arg], target: Arg) -> bool:
     """Does some nonempty subset of ``attackers`` carry a defined strength
     against ``target``?"""
-    attackers = frozenset(attackers)
-    for cand in _resolving_candidates(fw, attackers, target):
-        if fw.strengths.strength(cand, target) is not None:
-            return True
-    return False
+    return _attacked(fw, fw.strengths.strength, frozenset(attackers), target)
 
 
 def _strongest(fw: Framework, lookup, attackers: frozenset, target: Arg) -> int:
@@ -135,7 +141,7 @@ def intrinsic(fw: Framework, subset: Iterable[Arg]) -> frozenset:
 class View:
     """The framework as a coalition sees it."""
 
-    framework: Framework
+    strengths: StrengthModel  # not the framework, whose memo holds this view
     base: frozenset  # the coalition's original members
     alpha: frozenset  # its intrinsic arguments
     arguments: frozenset  # (S \ base) | alpha
@@ -146,7 +152,7 @@ class View:
         attackers = frozenset(attackers)
         if target in self.base and attackers <= self.base:
             return None
-        return self.framework.strengths.strength(attackers, target)
+        return self.strengths.strength(attackers, target)
 
 
 @_memoised
@@ -169,7 +175,7 @@ def _view(fw: Framework, subset: frozenset) -> View:
                     f"onto coalition member {target}"
                 )
                 break
-    return View(fw, subset, alpha, frozenset(args), tuple(diagnostics))
+    return View(fw.strengths, subset, alpha, frozenset(args), tuple(diagnostics))
 
 
 def view(fw: Framework, subset: Iterable[Arg]) -> View:
@@ -185,10 +191,7 @@ def c_attacks(fw: Framework, subset: Iterable[Arg], target: Arg) -> bool:
     if not _is_ce(fw, subset):
         return False
     vw = _view(fw, subset)
-    for cand in _resolving_candidates(fw, vw.alpha, target):
-        if vw.strength(cand, target) is not None:
-            return True
-    return False
+    return _attacked(fw, vw.strength, vw.alpha, target)
 
 
 def c_defeats(fw: Framework, subset: Iterable[Arg], target: Arg) -> bool:

@@ -240,3 +240,18 @@ def test_memo_tables_are_released_with_the_framework():
     del fw
     gc.collect()
     assert ref() is None
+
+
+def test_views_hold_no_reference_back_to_their_framework():
+    # A View kept in the framework's memo must not form a cycle with it, so
+    # the framework is freed by reference counting alone.
+    fw = fixtures.ldp()
+    gc.disable()
+    try:
+        formability(fw, "WS", by_ids(fw, "a1"))
+        semantics.view(fw, by_ids(fw, "a1", "a3"))
+        ref = weakref.ref(fw)
+        del fw
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -231,6 +231,32 @@ def test_cli_validate_rejects_bad_attack_instances(capsys, tmp_path, attack, mes
     assert f"attacks[1]: {message}" in err
 
 
+def test_cli_integral_floats_read_as_integers(capsys, tmp_path):
+    def document(cap, strength):
+        return {
+            "version": "1",
+            "arguments": [{"id": "x", "capacity": cap}, {"id": "y", "capacity": 2}],
+            "attacks": [
+                {"from": [["x", cap]], "to": "y", "strength": strength},
+                {"from": ["y"], "to": ["x", cap], "strength": strength},
+            ],
+        }
+
+    outputs = []
+    for name, payload in (("int", document(2, 1)), ("float", document(2.0, 1.0))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(payload))
+        runs = (
+            ("export-dot", str(path)),
+            ("export-dot", str(path), "--view", "x"),
+            ("semantics", str(path), "--kind", "c-preferred"),
+            ("--json", "view", str(path), "--set", "x"),
+        )
+        outputs.append([run_cli(capsys, *argv) for argv in runs])
+    assert outputs[1] == outputs[0]
+    assert '"x_2"' in outputs[1][0][1] and 'label="1"' in outputs[1][0][1]
+
+
 def test_cli_semantics(capsys):
     code, out, _ = run_cli(
         capsys, "semantics", str(FIXDIR / "disc.json"), "--kind", "c-preferred"
