@@ -51,6 +51,20 @@ def check(name, fw):
                 problems.append(("intrinsic", s))
         if semantics.is_c_admissible(fw, s) != oracle.brute_c_admissible(fw, s):
             problems.append(("c-admissible", s))
+    for s in ce:
+        for target in args:
+            if semantics.c_attacks(fw, s, target) != oracle.brute_c_attacks(
+                fw, s, target
+            ):
+                problems.append(("c-attacks", s, target))
+            if semantics.c_defeats(fw, s, target) != oracle.brute_c_defeats(
+                fw, s, target
+            ):
+                problems.append(("c-defeats", s, target))
+        if coalition.is_one_directionally_attacked(
+            fw, s
+        ) != oracle.brute_one_directional(fw, s):
+            problems.append(("one-directional", s))
     if semantics.enumerate_c_preferred(fw) != oracle.brute_c_preferred(fw):
         problems.append(("c-preferred",))
     # the brute relational routes are doubly exponential; scope the bases

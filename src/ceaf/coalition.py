@@ -126,7 +126,11 @@ def coalition_permitted(
 
 def attackers(fw: Framework, subset: Iterable[Arg]) -> frozenset:
     """The framework members whose singletons attack some member of the set."""
-    subset = frozenset(subset)
+    return _attackers(fw, frozenset(subset))
+
+
+@_memoised
+def _attackers(fw: Framework, subset: frozenset) -> frozenset:
     return frozenset(
         s
         for s in fw.arguments

@@ -151,7 +151,19 @@ class StrengthModel:
         lookup = {}
         for (attackers, target), strength in self.entries_items:
             lookup[(frozenset(attackers), target)] = strength
+        # Indexes over ``lookup``: each target's listed attacker keys in
+        # ``lookup`` order, and the id-unique keys by (target, id signature).
+        by_target, by_signature = defaultdict(list), defaultdict(list)
+        for (attackers, target), strength in lookup.items():
+            by_target[target].append(attackers)
+            capacities = {a.id: a.capacity for a in attackers}
+            if len(capacities) == len(attackers):
+                by_signature[(target, frozenset(capacities))].append(
+                    (capacities, strength)
+                )
         object.__setattr__(self, "_lookup", lookup)
+        object.__setattr__(self, "_by_target", dict(by_target))
+        object.__setattr__(self, "_by_signature", dict(by_signature))
 
     @staticmethod
     def from_entries(
@@ -223,16 +235,11 @@ class StrengthModel:
         # A zero-capacity attacker carries no content and never attacks.
         if any(a.capacity == 0 for a in attackers):
             return None
-        if not _ids_unique(attackers):
-            return None
         want = {a.id: a.capacity for a in attackers}
+        if len(want) != len(attackers):
+            return None
         best = None
-        for (listed, s), v in self._lookup.items():
-            if s != target or len(listed) != len(attackers):
-                continue
-            got = {a.id: a.capacity for a in listed}
-            if set(got) != set(want):
-                continue
+        for got, v in self._by_signature.get((target, frozenset(want)), ()):
             if all(got[i] >= want[i] for i in want):
                 best = v if best is None else min(best, v)
         return best

@@ -108,6 +108,8 @@ def loads(text: str) -> LoadedDocument:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from exc
+    except RecursionError as exc:
+        raise ParseError("document nested too deeply") from exc
     _object(
         payload,
         "document",

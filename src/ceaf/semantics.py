@@ -39,9 +39,7 @@ def _persist_projections(model, pool: frozenset, target: Arg):
     by_id = {a.id: a for a in pool}
     if len(by_id) != len(pool):
         return
-    for key, t in model._lookup:
-        if t != target:
-            continue
+    for key in model._by_target.get(target, ()):
         ids = [a.id for a in key]
         if len(set(ids)) == len(ids) and set(ids) <= set(by_id):
             yield frozenset(by_id[i] for i in ids)
@@ -60,8 +58,8 @@ def _resolving_candidates(fw: Framework, attackers: frozenset, target: Arg):
         yield core
         for x in sorted(core):
             yield frozenset((x,))
-    for (key, t) in model._lookup:
-        if t == target and key and key <= attackers:
+    for key in model._by_target.get(target, ()):
+        if key and key <= attackers:
             yield key
     yield from _persist_projections(model, attackers, target)
 
@@ -197,7 +195,11 @@ def c_attacks(fw: Framework, subset: Iterable[Arg], target: Arg) -> bool:
 def c_defeats(fw: Framework, subset: Iterable[Arg], target: Arg) -> bool:
     """As ``c_attacks`` but requiring view strength at least the target's
     capacity."""
-    subset = frozenset(subset)
+    return _c_defeats(fw, frozenset(subset), target)
+
+
+@_memoised
+def _c_defeats(fw: Framework, subset: frozenset, target: Arg) -> bool:
     if not _is_ce(fw, subset):
         return False
     vw = _view(fw, subset)
@@ -216,8 +218,8 @@ def _minimal_attack_sets(fw: Framework, vw: View, target: Arg):
         if vw.strength(frozenset((x,)), target) is not None:
             found.add(frozenset((x,)))
     # listed entry keys inside the view that survive deletion
-    for (key, t) in sorted(model._lookup, key=lambda k: (sorted(k[0]), k[1])):
-        if t != target or not key or not key <= vw.arguments:
+    for key in sorted(model._by_target.get(target, ()), key=sorted):
+        if not key or not key <= vw.arguments:
             continue
         if vw.strength(key, target) is None:
             continue

@@ -104,6 +104,8 @@ def test_attackers(ldp, indep_larger):
     assert attackers(indep_larger, by_ids(indep_larger, "a1")) == by_ids(
         indep_larger, "a2", "s3", "s4"
     )
+    pair = by_ids(ldp, "a1", "a3")
+    assert attackers(ldp, sorted(pair)) == attackers(ldp, pair)
 
 
 def test_undefeated_external(ldp, indep_larger):

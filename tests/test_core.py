@@ -1,14 +1,17 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ceaf import (
     Arg,
     Framework,
     SizeLimitExceeded,
+    StrengthModel,
     instantiated_closure,
     validate_axioms,
     validate_coherent,
     variant,
 )
+from ceaf.core import _id_unique_subsets
 
 
 def test_validate_coherent_accepts_running_example(ldp):
@@ -121,6 +124,91 @@ def test_persist_default_takes_minimum_over_dominating_entries():
     assert fw.strength({Arg("x", 1)}, t) == 2
     assert fw.strength({Arg("x", 2)}, t) == 2
     assert fw.strength({Arg("x", 3)}, t) == 3
+
+
+def _full_scan_strength(model, attackers, target):
+    """Reference resolver: ``StrengthModel.strength`` with a persist fallback
+    that scans every listed entry instead of reading an index."""
+    attackers = frozenset(attackers)
+    if not attackers or target in attackers:
+        return None
+    exact = model._lookup.get((attackers, target))
+    if exact is not None:
+        return exact
+    if model.aggregator == "explicit-only":
+        return None
+    if model.variant_policy == "persist":
+        fallback = _full_scan_persist(model, attackers, target)
+        if fallback is not None:
+            return fallback
+    if len(attackers) == 1:
+        return None
+    values = []
+    for x in attackers:
+        v = model._lookup.get((frozenset((x,)), target))
+        if v is None and model.variant_policy == "persist":
+            v = _full_scan_persist(model, frozenset((x,)), target)
+        if v is None:
+            return None
+        values.append(v)
+    return max(values) if model.aggregator == "max" else sum(values)
+
+
+def _full_scan_persist(model, attackers, target):
+    if any(a.capacity == 0 for a in attackers):
+        return None
+    want = {a.id: a.capacity for a in attackers}
+    if len(want) != len(attackers):
+        return None
+    best = None
+    for (listed, s), v in model._lookup.items():
+        if s != target or len(listed) != len(attackers):
+            continue
+        got = {a.id: a.capacity for a in listed}
+        if set(got) != set(want):
+            continue
+        if all(got[i] >= want[i] for i in want):
+            best = v if best is None else min(best, v)
+    return best
+
+
+@st.composite
+def strength_tables(draw, aggregator, policy):
+    """3-5 arguments; singleton and group entries whose attackers and target
+    may be reduced-capacity variants of the arguments."""
+    args = [Arg(f"x{i}", draw(st.integers(1, 4))) for i in range(draw(st.integers(3, 5)))]
+
+    def instance(a):
+        return a.with_capacity(draw(st.integers(1, a.capacity)))
+
+    entries = {}
+    for _ in range(draw(st.integers(1, 10))):
+        target = draw(st.sampled_from(args))
+        group = draw(
+            st.lists(
+                st.sampled_from([a for a in args if a != target]),
+                min_size=1,
+                max_size=3,
+                unique=True,
+            )
+        )
+        key = frozenset(instance(a) for a in group)
+        entries[(key, instance(target))] = draw(st.integers(1, 5))
+    return StrengthModel.from_entries(entries, aggregator, policy)
+
+
+@pytest.mark.parametrize("policy", ["strict", "persist"])
+@pytest.mark.parametrize("aggregator", ["max", "sum", "explicit-only"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_strength_matches_full_scan_reference(aggregator, policy, data):
+    model = data.draw(strength_tables(aggregator, policy))
+    pool = model.instances()
+    for attackers in _id_unique_subsets(pool):
+        for target in pool:
+            assert model.strength(attackers, target) == _full_scan_strength(
+                model, attackers, target
+            ), (sorted(attackers), target)
 
 
 def test_required_strength_raises_on_missing_variant(ldp):

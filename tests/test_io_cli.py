@@ -208,6 +208,15 @@ def test_cli_validate_unreadable_document(capsys, tmp_path):
     assert str(missing) in err
 
 
+def test_cli_validate_rejects_deeply_nested_document(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert "nested too deeply" in err
+
+
 @pytest.mark.parametrize(
     "attack, message",
     [

@@ -118,6 +118,9 @@ def test_c_defeats(ldp):
     a2, a4 = ldp.by_id("a2"), ldp.by_id("a4")
     assert c_defeats(ldp, by_ids(ldp, "a3"), a4)
     assert not c_defeats(ldp, by_ids(ldp, "a1", "a3"), a2)  # view strength 1 < 3
+    for names, target in ((("a3",), a4), (("a1", "a3"), a2)):
+        subset = by_ids(ldp, *names)
+        assert c_defeats(ldp, sorted(subset), target) == c_defeats(ldp, subset, target)
 
 
 def test_c_admissible(ldp):
