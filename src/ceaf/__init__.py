@@ -13,7 +13,6 @@ from .core import (
     instantiated_closure,
     validate_axioms,
     validate_coherent,
-    variant,
 )
 from .semantics import (
     View,

@@ -96,26 +96,6 @@ def state_leq(fw: Framework, first: Iterable[Arg], second: Iterable[Arg]) -> boo
     return _rank(fw, first) <= _rank(fw, second)
 
 
-def state_leq_literal(
-    fw: Framework, first: Iterable[Arg], second: Iterable[Arg]
-) -> bool:
-    """The same ordering spelled out as its defining three-way disjunction;
-    kept as an independent route for the equivalence tests."""
-    first, second = frozenset(first), frozenset(second)
-    if not (_is_ce(fw, first) and _is_ce(fw, second)):
-        return False
-    if is_c_admissible(fw, second):
-        return True
-    if _one_directional(fw, first):
-        return True
-    return not (
-        is_c_admissible(fw, first)
-        or is_c_admissible(fw, second)
-        or _one_directional(fw, first)
-        or _one_directional(fw, second)
-    )
-
-
 def coalition_permitted(
     fw: Framework, first: Iterable[Arg], second: Iterable[Arg]
 ) -> bool:

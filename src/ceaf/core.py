@@ -70,10 +70,6 @@ class Arg:
         return f"{self.id}({self.capacity})"
 
 
-def variant(s: Arg, capacity: int) -> Arg:
-    return s.with_capacity(capacity)
-
-
 @dataclass(frozen=True)
 class Violation:
     axiom: str
@@ -152,8 +148,10 @@ class StrengthModel:
         for (attackers, target), strength in self.entries_items:
             lookup[(frozenset(attackers), target)] = strength
         # Indexes over ``lookup``: each target's listed attacker keys in
-        # ``lookup`` order, and the id-unique keys by (target, id signature).
+        # ``lookup`` order, the id-unique keys by (target, id signature), and
+        # each target's singleton-attacker ids.
         by_target, by_signature = defaultdict(list), defaultdict(list)
+        singleton_ids = defaultdict(set)
         for (attackers, target), strength in lookup.items():
             by_target[target].append(attackers)
             capacities = {a.id: a.capacity for a in attackers}
@@ -161,9 +159,12 @@ class StrengthModel:
                 by_signature[(target, frozenset(capacities))].append(
                     (capacities, strength)
                 )
+            if len(attackers) == 1:
+                singleton_ids[target].update(capacities)
         object.__setattr__(self, "_lookup", lookup)
         object.__setattr__(self, "_by_target", dict(by_target))
         object.__setattr__(self, "_by_signature", dict(by_signature))
+        object.__setattr__(self, "_singleton_ids", dict(singleton_ids))
 
     @staticmethod
     def from_entries(
@@ -178,10 +179,6 @@ class StrengthModel:
             )
         )
         return StrengthModel(items, aggregator, variant_policy)
-
-    @property
-    def entries(self) -> dict:
-        return dict(self._lookup)
 
     def instances(self) -> frozenset:
         """Every argument instance mentioned in the table."""
@@ -277,9 +274,6 @@ class Framework:
                 return a
         raise KeyError(name)
 
-    def sorted_arguments(self) -> list:
-        return sorted(self.arguments)
-
 
 def _subsets(items, include_empty=False):
     items = sorted(items)
@@ -290,24 +284,56 @@ def _subsets(items, include_empty=False):
 
 
 def _id_unique_subsets(instances, include_empty=False):
-    """Subsets of a (possibly multi-capacity) instance pool with unique ids."""
-    by_id: dict[str, list] = {}
+    """Subsets of a (possibly multi-capacity) instance pool with unique ids, in
+    mixed-radix order: each id absent or one of its variants in sorted order,
+    the first id the fastest digit."""
+    by_id = defaultdict(list)
     for a in sorted(instances):
-        by_id.setdefault(a.id, []).append(a)
-    ids = sorted(by_id)
-    # choices: for each id, either absent or one variant
-    def rec(i):
-        if i == len(ids):
-            yield frozenset()
-            return
-        for rest in rec(i + 1):
-            yield rest
-            for a in by_id[ids[i]]:
-                yield rest | {a}
-
-    for s in rec(0):
+        by_id[a.id].append(a)
+    choices = [[None, *variants] for variants in reversed(by_id.values())]
+    for combo in itertools.product(*choices):
+        s = frozenset(a for a in combo if a is not None)
         if s or include_empty:
             yield s
+
+
+def _definable(model: StrengthModel, pool, target: Arg) -> list:
+    """The id-unique subsets of ``pool`` that can have a defined strength on
+    ``target``, in ``_id_unique_subsets(pool)`` order.  ``strength`` defines a
+    nonempty ``s`` only if (a) ``(s, target)`` is listed, (b) under persist,
+    ``s`` lowers the capacities of a listed id-unique key on ``target``, or (c)
+    under ``max``/``sum``, ``s`` has two or more members that resolve alone."""
+    pool, by_id = frozenset(pool), defaultdict(list)
+    for a in sorted(pool):
+        by_id[a.id].append(a)
+    weight, place = {}, 1  # mixed radix, the first id the fastest digit
+    for variants in by_id.values():
+        weight.update((a, d * place) for d, a in enumerate(variants, 1))
+        place *= len(variants) + 1
+    derives = model.aggregator != "explicit-only"
+    found = set()
+    for key in model._by_target.get(target, ()):
+        caps = {a.id: a.capacity for a in key}
+        if not key or len(caps) != len(key):
+            continue
+        if key <= pool:
+            found.add(key)
+        if derives and model.variant_policy == "persist":
+            lower = ([a for a in by_id[i] if a.capacity <= k] for i, k in caps.items())
+            found.update(map(frozenset, itertools.product(*lower)))
+    if derives:
+        ids = model._singleton_ids.get(target, ())
+        core = [a for a in pool if a.id in ids]
+        core = [a for a in core if model._singleton(a, target) is not None]
+        found.update(s for s in _id_unique_subsets(core) if len(s) > 1)
+    return sorted(found, key=lambda s: sum(weight[a] for a in s))
+
+
+def _resolved(model: StrengthModel, domain: list) -> dict:
+    """Every defined strength over ``domain``: targets in ``domain`` order,
+    attacker sets in ``_id_unique_subsets(domain)`` order."""
+    pairs = ((s, t) for t in domain for s in _definable(model, domain, t))
+    return {k: v for k in pairs if (v := model.strength(*k)) is not None}
 
 
 def _memoised(fn):
@@ -386,14 +412,7 @@ def validate_axioms(
     if restricted:
         return ValidationReport(tuple(violations))
 
-    targets = domain
-    attacker_sets = [s for s in _id_unique_subsets(domain)]
-    resolved: dict = {}
-    for t in targets:
-        for s in attacker_sets:
-            v = fw.strengths.strength(s, t)
-            if v is not None:
-                resolved[(s, t)] = v
+    resolved = _resolved(fw.strengths, domain)
 
     for (s, t), v in sorted(resolved.items()):
         # quasi-closure by subset + subset monotonicity (mono 2 corollary)

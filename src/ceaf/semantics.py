@@ -24,6 +24,7 @@ from .core import (
     SIZE_LIMIT_DEFAULT,
     StrengthModel,
     _check_limit,
+    _definable,
     _fmt,
     _memoised,
     _subsets,
@@ -51,8 +52,9 @@ def _resolving_candidates(fw: Framework, attackers: frozenset, target: Arg):
     entry key contained in ``attackers``, and (under persist) id-matched
     projections of listed entry signatures."""
     model = fw.strengths
+    ids = model._singleton_ids.get(target, ())
     core = frozenset(
-        x for x in attackers if model.strength(frozenset((x,)), target) is not None
+        x for x in attackers if x.id in ids and model.strength({x}, target) is not None
     )
     if core:
         yield core
@@ -162,10 +164,9 @@ def _view(fw: Framework, subset: frozenset) -> View:
     # members survive the deletion of purely internal attacks; surface them.
     reduced = alpha - subset
     for target in sorted(subset):
-        for cand in _subsets(alpha):
-            if not cand & reduced:
-                continue
-            if cand <= subset:
+        cands = _definable(fw.strengths, alpha, target)
+        for cand in sorted(cands, key=lambda s: (len(s), sorted(s))):
+            if not cand & reduced or cand <= subset:
                 continue
             if fw.strengths.strength(cand, target) is not None:
                 diagnostics.append(

@@ -1,6 +1,11 @@
 import pytest
 
-from ceaf import fixtures
+from ceaf import (
+    fixtures,
+    is_c_admissible,
+    is_conflict_eliminable,
+    is_one_directionally_attacked,
+)
 
 _ACCEPTANCE_RESULTS = {}
 
@@ -42,6 +47,24 @@ def indep_fewer():
 
 def by_ids(fw, *names):
     return frozenset(fw.by_id(n) for n in names)
+
+
+def state_leq_literal(fw, first, second):
+    """The state ordering spelled out as its defining three-way disjunction;
+    an independent route for the equivalence tests."""
+    first, second = frozenset(first), frozenset(second)
+    if not (is_conflict_eliminable(fw, first) and is_conflict_eliminable(fw, second)):
+        return False
+    if is_c_admissible(fw, second):
+        return True
+    if is_one_directionally_attacked(fw, first):
+        return True
+    return not (
+        is_c_admissible(fw, first)
+        or is_c_admissible(fw, second)
+        or is_one_directionally_attacked(fw, first)
+        or is_one_directionally_attacked(fw, second)
+    )
 
 
 def pytest_runtest_logreport(report):

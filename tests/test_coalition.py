@@ -24,8 +24,8 @@ from ceaf import (
     undefeated_external,
 )
 from ceaf import fixtures, semantics
-from ceaf.coalition import crit_less, state_leq_literal
-from conftest import by_ids
+from ceaf.coalition import crit_less
+from conftest import by_ids, state_leq_literal
 
 
 def attack_free(n=2):

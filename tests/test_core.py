@@ -4,14 +4,26 @@ from hypothesis import given, settings, strategies as st
 from ceaf import (
     Arg,
     Framework,
+    RandomModelSpec,
     SizeLimitExceeded,
     StrengthModel,
+    fixtures,
+    generate_random,
     instantiated_closure,
     validate_axioms,
     validate_coherent,
-    variant,
 )
-from ceaf.core import _id_unique_subsets
+from ceaf.core import _id_unique_subsets, _resolved
+
+FIXTURES = (
+    "ldp",
+    "seven",
+    "asym",
+    "disc",
+    "indep_larger",
+    "indep_state",
+    "indep_fewer",
+)
 
 
 def test_validate_coherent_accepts_running_example(ldp):
@@ -32,9 +44,9 @@ def test_validate_coherent_rejects_duplicate_identifier():
 
 def test_variant_changes_only_capacity():
     a3 = Arg("a3", 5)
-    assert variant(a3, 2) == Arg("a3", 2)
-    assert variant(a3, 5) is a3
-    assert variant(Arg("a2", 3), 1) == Arg("a2", 1)
+    assert a3.with_capacity(2) == Arg("a3", 2)
+    assert a3.with_capacity(5) is a3
+    assert Arg("a2", 3).with_capacity(1) == Arg("a2", 1)
 
 
 def test_strength_explicit_entry(ldp):
@@ -92,7 +104,7 @@ def test_explicit_only_derives_nothing():
 
 def test_strict_policy_leaves_unlisted_variants_undefined(ldp):
     a3, a4 = ldp.by_id("a3"), ldp.by_id("a4")
-    assert ldp.strength({variant(a3, 2)}, a4) is None
+    assert ldp.strength({a3.with_capacity(2)}, a4) is None
 
 
 def test_persist_policy_defaults_reduced_attackers():
@@ -103,11 +115,11 @@ def test_persist_policy_defaults_reduced_attackers():
         aggregator="max",
         variant_policy="persist",
     )
-    assert fw.strength({variant(x, 1)}, t) == 2
+    assert fw.strength({x.with_capacity(1)}, t) == 2
     # target capacities must match a listed entry exactly
-    assert fw.strength({x}, variant(t, 2)) is None
+    assert fw.strength({x}, t.with_capacity(2)) is None
     # a contentless attacker never attacks
-    assert fw.strength({variant(x, 0)}, t) is None
+    assert fw.strength({x.with_capacity(0)}, t) is None
 
 
 def test_persist_default_takes_minimum_over_dominating_entries():
@@ -211,12 +223,94 @@ def test_strength_matches_full_scan_reference(aggregator, policy, data):
             ), (sorted(attackers), target)
 
 
+def _probe_subsets(instances):
+    """Reference enumeration: every nonempty id-unique subset, each id absent
+    or one of its variants in sorted order, the first id the fastest digit."""
+    by_id = {}
+    for a in sorted(instances):
+        by_id.setdefault(a.id, []).append(a)
+    ids = sorted(by_id)
+
+    def rec(i):
+        if i == len(ids):
+            yield frozenset()
+            return
+        for rest in rec(i + 1):
+            yield rest
+            for a in by_id[ids[i]]:
+                yield rest | {a}
+
+    return [s for s in rec(0) if s]
+
+
+def _probe_resolved(model, domain):
+    """Reference for ``core._resolved``: every id-unique subset of the domain
+    looked up against every target, keeping the defined answers."""
+    resolved = {}
+    subsets = _probe_subsets(domain)
+    for t in domain:
+        for s in subsets:
+            v = model.strength(s, t)
+            if v is not None:
+                resolved[(s, t)] = v
+    return resolved
+
+
+@pytest.mark.parametrize("policy", ["strict", "persist"])
+@pytest.mark.parametrize("aggregator", ["max", "sum", "explicit-only"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_resolved_matches_probe_in_order(aggregator, policy, data):
+    # lists, not dicts: the violation order of validate_axioms follows this one
+    model = data.draw(strength_tables(aggregator, policy))
+    domain = sorted(model.instances())
+    assert list(_resolved(model, domain).items()) == list(
+        _probe_resolved(model, domain).items()
+    )
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_resolved_matches_probe_in_order_on_fixtures(name):
+    fw = getattr(fixtures, name)()
+    domain = sorted(instantiated_closure(fw))
+    assert list(_resolved(fw.strengths, domain).items()) == list(
+        _probe_resolved(fw.strengths, domain).items()
+    )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        fixtures.seven,
+        lambda: generate_random(RandomModelSpec(10, (1, 4), 0.25, "sum", 1)),
+    ],
+    ids=["seven", "random-10"],
+)
+def test_validate_axioms_looks_up_only_definable_sets(monkeypatch, build):
+    fw = build()
+    instantiated_closure(fw)  # its conflict-eliminability lookups are not counted
+    calls, defined = 0, 0
+    resolve = StrengthModel.strength
+
+    def counted(self, attackers, target):
+        nonlocal calls, defined
+        calls += 1
+        v = resolve(self, attackers, target)
+        defined += v is not None
+        return v
+
+    monkeypatch.setattr(StrengthModel, "strength", counted)
+    validate_axioms(fw)
+    assert defined > 0
+    assert calls <= 2 * defined, (calls, defined)
+
+
 def test_required_strength_raises_on_missing_variant(ldp):
     from ceaf import MissingVariantStrength
 
     a3, a4 = ldp.by_id("a3"), ldp.by_id("a4")
     with pytest.raises(MissingVariantStrength):
-        ldp.strengths.required_strength({variant(a3, 2)}, a4)
+        ldp.strengths.required_strength({a3.with_capacity(2)}, a4)
 
 
 def test_validate_axioms_running_example(ldp):
@@ -296,7 +390,7 @@ def test_singleton_definedness_square(ldp):
     # a group resolves exactly when it sits inside the singleton-resolving set
     from ceaf.core import _subsets
 
-    for target in ldp.sorted_arguments():
+    for target in sorted(ldp.arguments):
         core = {
             x
             for x in ldp.arguments

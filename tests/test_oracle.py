@@ -154,7 +154,7 @@ def test_generate_random_deterministic():
 
 def test_generate_random_attack_free_at_zero_density():
     fw = generate_random(RandomModelSpec(argument_count=4, attack_density=0.0, seed=1))
-    assert not fw.strengths.entries
+    assert not fw.strengths.entries_items
 
 
 def test_generate_random_axiom_valid():

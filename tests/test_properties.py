@@ -13,7 +13,7 @@ from ceaf import (
 )
 from ceaf import coalition, oracle, semantics
 from ceaf.core import _id_unique_subsets, _raisings, _subsets
-from ceaf.coalition import state_leq_literal
+from conftest import state_leq_literal
 
 specs = st.builds(
     RandomModelSpec,

@@ -4,11 +4,14 @@ from ceaf import (
     Arg,
     Framework,
     NotConflictEliminable,
+    RandomModelSpec,
     attacks,
     c_attacks,
     c_defeats,
     defeats,
     enumerate_c_preferred,
+    fixtures,
+    generate_random,
     intrinsic,
     is_c_admissible,
     is_conflict_eliminable,
@@ -103,6 +106,49 @@ def test_view_residual_attack_diagnostic(ldp):
     assert vw.alpha == {Arg("a2", 1), Arg("a3", 4)}
     assert any("residual attack" in d for d in vw.diagnostics)
     assert view(ldp, by_ids(ldp, "a1", "a3")).diagnostics == ()
+
+
+def _probe_diagnostics(fw, subset):
+    """Reference for ``View.diagnostics``: for each member, the first subset of
+    the intrinsic arguments, by size then name, that holds a reduced instance,
+    is not inside the coalition, and has a defined strength on the member."""
+    from ceaf.core import _subsets
+
+    alpha = intrinsic(fw, subset)
+    out = []
+    for member in sorted(subset):
+        for cand in _subsets(alpha):
+            if cand & (alpha - subset) and not cand <= subset:
+                if fw.strengths.strength(cand, member) is not None:
+                    names = ", ".join(str(a) for a in sorted(cand))
+                    out.append(
+                        f"residual attack from intrinsic arguments {{{names}}} "
+                        f"onto coalition member {member}"
+                    )
+                    break
+    return tuple(out)
+
+
+def _random(seed, aggregator):
+    spec = RandomModelSpec(6, (1, 4), 0.3, aggregator, seed)
+    return pytest.param(lambda: generate_random(spec), id=f"random-{aggregator}-{seed}")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(getattr(fixtures, n), id=n)
+        for n in ("ldp", "seven", "asym", "disc", "indep_larger")
+    ]
+    + [_random(seed, agg) for seed in range(4) for agg in ("max", "sum")],
+)
+def test_view_diagnostics_match_powerset_probe(build):
+    from ceaf.core import _subsets
+
+    fw = build()
+    for s in _subsets(fw.arguments):
+        if is_conflict_eliminable(fw, s):
+            assert view(fw, s).diagnostics == _probe_diagnostics(fw, s), sorted(s)
 
 
 def test_c_attacks(ldp):
