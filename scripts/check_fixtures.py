@@ -1,12 +1,24 @@
-"""Verify the frozen claims of the small fixtures against the engine."""
+"""Verify the frozen claims of the small fixtures against the engine.
+
+Loads each document from fixtures/ and prints what it checks; the last line
+is ``all fixture claims hold`` when every claim does.
+
+    python3 scripts/check_fixtures.py
+"""
 
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
-from ceaf import fixtures, validate_axioms
+from ceaf import io_doc, validate_axioms
 from ceaf import coalition as co
 from ceaf import semantics as sem
+
+
+def load(name):
+    return io_doc.load(ROOT / "fixtures" / f"{name}.json").framework
 
 
 def show(name, fw):
@@ -21,7 +33,7 @@ def ids(fw, *names):
     return frozenset(fw.by_id(n) for n in names)
 
 
-fw = fixtures.asym()
+fw = load("asym")
 show("asym", fw)
 s1 = ids(fw, "s1")
 a2 = ids(fw, "a2")
@@ -32,7 +44,7 @@ print("  {s1} -> union:", p1)
 print("  {a2} -> union:", p2)
 assert p1.holds and not p2.holds and p2.larger_set and p2.better_state and not p2.fewer_attackers
 
-fw = fixtures.disc()
+fw = load("disc")
 show("disc", fw)
 a1 = ids(fw, "a1")
 s2 = ids(fw, "a1", "a2")
@@ -47,7 +59,7 @@ assert sx in co.pref_supersets(fw, a1)
 assert not co.profitable(fw, a1, s2).holds
 assert not co.is_weakly_continuous(fw, a1)
 
-fw = fixtures.indep_larger()
+fw = load("indep-larger")
 show("indep-larger", fw)
 a1 = ids(fw, "a1")
 u = ids(fw, "a1", "a2")
@@ -59,7 +71,7 @@ assert v.larger_set and not v.better_state and not v.fewer_attackers
 assert co.state_rank(fw, u) == co.StateRank.ONE_DIRECTIONAL
 assert co.state_rank(fw, a1) == co.StateRank.MIDDLE
 
-fw = fixtures.indep_state()
+fw = load("indep-state")
 show("indep-state", fw)
 s1, s3 = ids(fw, "s1"), ids(fw, "s3")
 v = co.profitable(fw, s1, s3)
@@ -69,7 +81,7 @@ assert not v.larger_set and v.better_state and not v.fewer_attackers
 assert co.state_rank(fw, s3) == co.StateRank.CADMISSIBLE
 assert co.state_leq(fw, s1, s3)
 
-fw = fixtures.indep_fewer()
+fw = load("indep-fewer")
 show("indep-fewer", fw)
 s3, s2 = ids(fw, "s3"), ids(fw, "s2")
 v = co.profitable(fw, s3, s2)

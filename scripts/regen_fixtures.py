@@ -1,25 +1,23 @@
-"""Regenerate the shipped fixture documents and DOT golden files."""
+"""Regenerate the DOT golden files from the shipped running example.
+
+    python3 scripts/regen_fixtures.py
+"""
 
 import sys
 from pathlib import Path
 
-sys.path.insert(0, "src")
-
-from ceaf import dot, fixtures, io_doc
-
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from ceaf import dot, io_doc
+
 FIXDIR = ROOT / "fixtures"
 GOLDDIR = FIXDIR / "goldens"
 
 
 def main():
     GOLDDIR.mkdir(parents=True, exist_ok=True)
-    for name, maker in fixtures.ALL.items():
-        fw = maker()
-        io_doc.save(fw, FIXDIR / f"{name}.json")
-        print("wrote", FIXDIR / f"{name}.json")
-
-    ldp = fixtures.ldp()
+    ldp = io_doc.load(FIXDIR / "ldp.json").framework
     a1 = ldp.by_id("a1")
     a2 = ldp.by_id("a2")
     a3 = ldp.by_id("a3")

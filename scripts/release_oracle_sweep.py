@@ -1,24 +1,26 @@
 """Release gate: brute-force / engineered equivalence over 200 random models.
 
 Compares every exported semantic operation against its brute-force reference
-on 200 seeded random frameworks plus all built-in fixtures.  Slow by design
-(run before a release, not in the regular test loop); prints one line per
-framework and a final verdict.
+on 200 seeded random frameworks plus every document in fixtures/.  Slow by
+design (run before a release, not in the regular test loop); prints one line
+per framework and a final verdict.
 """
 
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
-from ceaf import RandomModelSpec, generate_random
-from ceaf import coalition, fixtures, oracle, semantics
+from ceaf import RandomModelSpec, generate_random, io_doc
+from ceaf import coalition, oracle, semantics
 from ceaf.core import _subsets
 
 
 def frameworks():
-    for name, maker in fixtures.ALL.items():
-        yield name, maker()
+    for path in sorted((ROOT / "fixtures").glob("*.json")):
+        yield path.stem, io_doc.load(path).framework
     for seed in range(200):
         spec = RandomModelSpec(
             argument_count=3 + seed % 3,

@@ -4,7 +4,6 @@ capacity-weighted argumentation frameworks with group attacks."""
 from .core import (
     Arg,
     Framework,
-    MissingVariantStrength,
     NotConflictEliminable,
     SizeLimitExceeded,
     StrengthModel,

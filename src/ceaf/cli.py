@@ -309,6 +309,12 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "random":
+        if args.count < 0:
+            raise _UsageError("--args must be at least 0")
+        if not 0 <= args.density <= 1:  # NaN fails both comparisons
+            raise _UsageError("--density must lie in [0, 1]")
+        if args.capacity_min < 1:
+            raise _UsageError("--capacity-min must be at least 1")
         if args.capacity_min > args.capacity_max:
             raise _UsageError("--capacity-min exceeds --capacity-max")
         spec = oracle.RandomModelSpec(

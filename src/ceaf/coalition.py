@@ -29,14 +29,14 @@ from .core import (
     _subsets,
 )
 from .semantics import (
-    _is_ce,
     _minimal_attack_sets,
-    _view,
     attacks,
     c_attacks,
     c_defeats,
     enumerate_c_preferred,
     is_c_admissible,
+    is_conflict_eliminable,
+    view,
 )
 
 Criterion = Literal["l", "b", "f"]
@@ -55,10 +55,12 @@ class StateRank(enum.IntEnum):
 
 
 @_memoised
-def _one_directional(fw: Framework, subset: frozenset) -> bool:
-    if not _is_ce(fw, subset):
+def is_one_directionally_attacked(fw: Framework, subset: Iterable[Arg]) -> bool:
+    """Something in the coalition's view attacks a member, and the coalition
+    cannot counter-attack any element of that attacking set."""
+    if not is_conflict_eliminable(fw, subset):
         raise NotConflictEliminable(_fmt(subset))
-    vw = _view(fw, subset)
+    vw = view(fw, subset)
     for member in sorted(subset):
         for attack_set in _minimal_attack_sets(fw, vw, member):
             if not any(c_attacks(fw, subset, sx) for sx in attack_set):
@@ -66,34 +68,24 @@ def _one_directional(fw: Framework, subset: frozenset) -> bool:
     return False
 
 
-def is_one_directionally_attacked(fw: Framework, subset: Iterable[Arg]) -> bool:
-    """Something in the coalition's view attacks a member, and the coalition
-    cannot counter-attack any element of that attacking set."""
-    return _one_directional(fw, frozenset(subset))
-
-
 @_memoised
-def _rank(fw: Framework, subset: frozenset) -> StateRank:
-    if not _is_ce(fw, subset):
+def state_rank(fw: Framework, subset: Iterable[Arg]) -> StateRank:
+    if not is_conflict_eliminable(fw, subset):
         raise NotConflictEliminable(_fmt(subset))
     if is_c_admissible(fw, subset):
         return StateRank.CADMISSIBLE
-    if _one_directional(fw, subset):
+    if is_one_directionally_attacked(fw, subset):
         return StateRank.ONE_DIRECTIONAL
     return StateRank.MIDDLE
-
-
-def state_rank(fw: Framework, subset: Iterable[Arg]) -> StateRank:
-    return _rank(fw, frozenset(subset))
 
 
 def state_leq(fw: Framework, first: Iterable[Arg], second: Iterable[Arg]) -> bool:
     """Is the second set in at least as good a state as the first?  False
     unless both sets are conflict-eliminable."""
     first, second = frozenset(first), frozenset(second)
-    if not (_is_ce(fw, first) and _is_ce(fw, second)):
+    if not (is_conflict_eliminable(fw, first) and is_conflict_eliminable(fw, second)):
         return False
-    return _rank(fw, first) <= _rank(fw, second)
+    return state_rank(fw, first) <= state_rank(fw, second)
 
 
 def coalition_permitted(
@@ -101,16 +93,12 @@ def coalition_permitted(
 ) -> bool:
     """Disjoint sets whose union is conflict-eliminable may form a coalition."""
     first, second = frozenset(first), frozenset(second)
-    return not (first & second) and _is_ce(fw, first | second)
-
-
-def attackers(fw: Framework, subset: Iterable[Arg]) -> frozenset:
-    """The framework members whose singletons attack some member of the set."""
-    return _attackers(fw, frozenset(subset))
+    return not (first & second) and is_conflict_eliminable(fw, first | second)
 
 
 @_memoised
-def _attackers(fw: Framework, subset: frozenset) -> frozenset:
+def attackers(fw: Framework, subset: Iterable[Arg]) -> frozenset:
+    """The framework members whose singletons attack some member of the set."""
     return frozenset(
         s
         for s in fw.arguments
@@ -175,7 +163,7 @@ def _profitable_holds(fw: Framework, first: frozenset, second: frozenset) -> boo
 @_memoised
 def _max_sets(fw: Framework, subset: frozenset) -> tuple:
     """Callers check the size limit first: it is not part of the memo key."""
-    if not _is_ce(fw, subset):
+    if not is_conflict_eliminable(fw, subset):
         raise NotConflictEliminable(_fmt(subset))
     rest = fw.arguments - subset
     reachable = [
@@ -220,10 +208,10 @@ def crit_leq(
     first, second = frozenset(first), frozenset(second)
     if beta == "l":
         return len(first) <= len(second)
-    if not (_is_ce(fw, first) and _is_ce(fw, second)):
+    if not (is_conflict_eliminable(fw, first) and is_conflict_eliminable(fw, second)):
         raise NotConflictEliminable("criteria b/f compare conflict-eliminable sets")
     if beta == "b":
-        return _rank(fw, first) <= _rank(fw, second)
+        return state_rank(fw, first) <= state_rank(fw, second)
     if beta == "f":
         if fewer_basis == "own":
             return undefeated_external(fw, second, second) <= undefeated_external(
@@ -287,7 +275,7 @@ def is_weakly_continuous(
     """Some profit-maximal superset can be grown towards through permitted
     intermediate coalitions that are each profitable."""
     subset = frozenset(subset)
-    if not _is_ce(fw, subset):
+    if not is_conflict_eliminable(fw, subset):
         raise NotConflictEliminable(_fmt(subset))
     _check_limit(fw, limit)
     return any(_continuous_via(fw, subset, sz) for sz in _max_sets(fw, subset))
@@ -298,7 +286,7 @@ def is_continuous(
 ) -> bool:
     """Every profit-maximal superset can be grown towards as above."""
     subset = frozenset(subset)
-    if not _is_ce(fw, subset):
+    if not is_conflict_eliminable(fw, subset):
         raise NotConflictEliminable(_fmt(subset))
     _check_limit(fw, limit)
     return all(_continuous_via(fw, subset, sz) for sz in _max_sets(fw, subset))
@@ -336,7 +324,7 @@ def formability(
     subset = frozenset(subset)
     if kind not in FORMABILITY_KINDS:
         raise ValueError(f"unknown formability kind {kind!r}")
-    if not _is_ce(fw, subset):
+    if not is_conflict_eliminable(fw, subset):
         raise NotConflictEliminable(_fmt(subset))
     _check_limit(fw, limit)
 

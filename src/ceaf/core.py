@@ -39,20 +39,6 @@ class NotConflictEliminable(Exception):
     """Raised when an operation requires a conflict-eliminable base set."""
 
 
-class MissingVariantStrength(Exception):
-    """A lookup needed a reduced-capacity strength that the table does not list.
-
-    Only raised by explicit ``required`` lookups; ordinary resolution treats
-    unlisted variants as undefined (strict) or defaulted (persist).
-    """
-
-    def __init__(self, attackers: frozenset["Arg"], target: "Arg"):
-        self.attackers = attackers
-        self.target = target
-        names = ", ".join(str(a) for a in sorted(attackers))
-        super().__init__(f"no strength listed for ({{{names}}}, {target})")
-
-
 @dataclass(frozen=True, order=True)
 class Arg:
     """An argument instance: identifier plus capacity."""
@@ -211,13 +197,6 @@ class StrengthModel:
             values.append(v)
         return max(values) if self.aggregator == "max" else sum(values)
 
-    def required_strength(self, attackers: Iterable[Arg], target: Arg) -> int:
-        """As ``strength`` but raising if an undefined variant lookup occurs."""
-        v = self.strength(attackers, target)
-        if v is None:
-            raise MissingVariantStrength(frozenset(attackers), target)
-        return v
-
     def _singleton(self, x: Arg, target: Arg) -> Optional[int]:
         if x == target:
             return None
@@ -264,9 +243,6 @@ class Framework:
             frozenset(arguments),
             StrengthModel.from_entries(entries, aggregator, variant_policy),
         )
-
-    def strength(self, attackers: Iterable[Arg], target: Arg) -> Optional[int]:
-        return self.strengths.strength(attackers, target)
 
     def by_id(self, name: str) -> Arg:
         for a in self.arguments:
@@ -336,16 +312,29 @@ def _resolved(model: StrengthModel, domain: list) -> dict:
     return {k: v for k in pairs if (v := model.strength(*k)) is not None}
 
 
+_MISSING = object()
+
+
 def _memoised(fn):
-    """Memoise ``fn(fw, *key)`` in ``fw``'s own table for ``fn``.  A call that
-    raises stores nothing."""
+    """Memoise ``fn(fw, *key)`` in ``fw``'s own table for ``fn``.  Stored keys
+    are canonical: each argument that is not an ``Arg`` is a frozenset.  A hit
+    on a canonical key is one lookup; any other key (a list, a set, a
+    generator) is canonicalised on the miss, and ``fn`` receives the canonical
+    arguments.  A call that raises stores nothing."""
 
     @functools.wraps(fn)
     def memo(fw: Framework, *key):
         table = fw._memo[fn]
-        if key not in table:
-            table[key] = fn(fw, *key)
-        return table[key]
+        try:
+            value = table.get(key, _MISSING)
+        except TypeError:  # an unhashable list or set
+            value = _MISSING
+        if value is _MISSING:
+            key = tuple([k if isinstance(k, Arg) else frozenset(k) for k in key])
+            value = table.get(key, _MISSING)
+            if value is _MISSING:
+                value = table[key] = fn(fw, *key)
+        return value
 
     return memo
 

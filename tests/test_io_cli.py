@@ -1,30 +1,46 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from ceaf import Arg, dot, fixtures, io_doc
+from ceaf import Arg, dot, io_doc
 from ceaf.cli import main
+from conftest import FIXTURE_FILES
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXDIR = ROOT / "fixtures"
 GOLDDIR = FIXDIR / "goldens"
 
-ALL_NAMES = sorted(fixtures.ALL)
+
+@pytest.mark.parametrize("path", FIXTURE_FILES, ids=lambda p: p.stem)
+def test_fixture_documents_match_builders(path):
+    # the shipped documents are the fixtures' one source; each is canonical,
+    # exactly what ``dumps`` writes for the framework it loads to
+    text = path.read_text()
+    assert io_doc.dumps(io_doc.loads(text).framework) == text
 
 
-@pytest.mark.parametrize("name", ALL_NAMES)
-def test_fixture_documents_match_builders(name):
-    doc = io_doc.load(FIXDIR / f"{name}.json")
-    assert doc.framework == fixtures.ALL[name]()
+@pytest.mark.parametrize("path", FIXTURE_FILES, ids=lambda p: p.stem)
+def test_save_load_round_trip(path, tmp_path):
+    fw = io_doc.load(path).framework
+    saved = tmp_path / "fw.json"
+    io_doc.save(fw, saved)
+    assert io_doc.load(saved).framework == fw
 
 
-@pytest.mark.parametrize("name", ALL_NAMES)
-def test_save_load_round_trip(name, tmp_path):
-    fw = fixtures.ALL[name]()
-    path = tmp_path / "fw.json"
-    io_doc.save(fw, path)
-    assert io_doc.load(path).framework == fw
+def test_check_fixtures_script_passes():
+    # the frozen claims of fixtures/README.md, re-derived from the documents
+    result = subprocess.run(
+        [sys.executable, "scripts/check_fixtures.py"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "all fixture claims hold"
 
 
 def test_load_running_example(ldp):
@@ -89,11 +105,10 @@ def test_np_mode_defaults(tmp_path):
     assert doc.framework.strengths.aggregator == "explicit-only"
     x, y = doc.framework.by_id("x"), doc.framework.by_id("y")
     assert x.capacity == 1
-    assert doc.framework.strength({x}, y) == 1  # defaults to the capacity
+    assert doc.framework.strengths.strength({x}, y) == 1  # defaults to the capacity
 
 
-def test_dot_goldens_match():
-    ldp = fixtures.ldp()
+def test_dot_goldens_match(ldp):
     pairs = {
         "ldp-whole.dot": dot.export_dot(ldp),
         "ldp-view-a1-a3.dot": dot.export_dot(
@@ -107,8 +122,8 @@ def test_dot_goldens_match():
         assert (GOLDDIR / name).read_text() == text
 
 
-def test_dot_whole_edges():
-    text = dot.export_dot(fixtures.ldp())
+def test_dot_whole_edges(ldp):
+    text = dot.export_dot(ldp)
     for edge in (
         '"a1_4" -> "a3_5" [label="3"]',
         '"a3_5" -> "a1_4" [label="3"]',
@@ -405,11 +420,20 @@ def test_cli_random_round_trip(capsys, tmp_path):
 
 def test_cli_random_rejects_empty_capacity_range(capsys, tmp_path):
     out_path = tmp_path / "random.json"
-    argv = ["random", "--args", "3", "--capacity-min", "5", "--capacity-max", "2"]
-    code, _, err = run_cli(capsys, *argv, "-o", str(out_path))
-    assert code == 3
-    assert "--capacity-min exceeds --capacity-max" in err
-    assert not out_path.exists()
+    cases = [
+        (("--capacity-min", "5", "--capacity-max", "2"), "--capacity-min exceeds"),
+        (("--capacity-min", "0"), "--capacity-min must be at least 1"),
+        (("--args", "-3"), "--args must be at least 0"),
+        (("--density", "-0.1"), "--density must lie in [0, 1]"),
+        (("--density", "1.5"), "--density must lie in [0, 1]"),
+        (("--density", "nan"), "--density must lie in [0, 1]"),
+    ]
+    for flags, message in cases:
+        argv = ["random", "--args", "3", *flags, "-o", str(out_path)]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3, flags
+        assert message in err, flags
+        assert not out_path.exists()
 
 
 def test_cli_json_output_deterministic(capsys):

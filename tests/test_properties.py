@@ -42,7 +42,7 @@ def test_aggregators_are_subset_monotone_and_union_closed(spec):
         rest = [a for a in args if a != target]
         values = {}
         for group in _subsets(rest):
-            values[group] = fw.strength(group, target)
+            values[group] = fw.strengths.strength(group, target)
         for g1, v1 in values.items():
             for g2, v2 in values.items():
                 if v1 is None or v2 is None:
@@ -61,11 +61,11 @@ def test_generalised_source_monotonicity(spec):
     domain = sorted(instantiated_closure(fw))
     for target in domain:
         for group in _id_unique_subsets(domain):
-            v = fw.strength(group, target)
+            v = fw.strengths.strength(group, target)
             if v is None:
                 continue
             for raised in _raisings(group, domain):
-                vr = fw.strength(raised, target)
+                vr = fw.strengths.strength(raised, target)
                 assert vr is not None and vr >= v
 
 
@@ -78,10 +78,10 @@ def test_definedness_square(spec):
         core = {
             x
             for x in fw.arguments
-            if x != target and fw.strength({x}, target) is not None
+            if x != target and fw.strengths.strength({x}, target) is not None
         }
         for group in _subsets(fw.arguments - {target}):
-            assert (fw.strength(group, target) is not None) == (
+            assert (fw.strengths.strength(group, target) is not None) == (
                 bool(group) and group <= core
             )
 
@@ -105,9 +105,9 @@ def test_vmax_equals_core_strength_on_valid_models(spec):
     for target in sorted(fw.arguments):
         for attackers in _subsets(fw.arguments - {target}):
             core = frozenset(
-                x for x in attackers if fw.strength({x}, target) is not None
+                x for x in attackers if fw.strengths.strength({x}, target) is not None
             )
-            expected = fw.strength(core, target) if core else None
+            expected = fw.strengths.strength(core, target) if core else None
             assert semantics.max_attack_strength(fw, attackers, target) == (
                 expected or 0
             )

@@ -14,12 +14,12 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ceaf import fixtures, io_doc
+from ceaf import io_doc
+from conftest import FIXTURE_FILES
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((ROOT / "schema" / "framework-document.schema.json").read_text())
 VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
-FIXTURE_FILES = sorted((ROOT / "fixtures").glob("*.json"))
 FIXTURE_DOCS = [json.loads(path.read_text()) for path in FIXTURE_FILES]
 
 WEIGHTED = {
@@ -127,9 +127,11 @@ def test_error_messages_are_located():
 
 @pytest.mark.parametrize("path", FIXTURE_FILES, ids=lambda p: p.stem)
 def test_fixture_documents_pass_the_schema_and_load(path):
-    payload = json.loads(path.read_text())
-    VALIDATOR.validate(payload)
-    assert io_doc.loads(path.read_text()).framework == fixtures.ALL[path.stem]()
+    # the shipped documents are the fixtures' one source; each is canonical,
+    # exactly what ``dumps`` writes for the framework it loads to
+    text = path.read_text()
+    VALIDATOR.validate(json.loads(text))
+    assert io_doc.dumps(io_doc.loads(text).framework) == text
 
 
 # ---------------------------------------------------------------------------

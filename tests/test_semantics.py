@@ -10,7 +10,6 @@ from ceaf import (
     c_defeats,
     defeats,
     enumerate_c_preferred,
-    fixtures,
     generate_random,
     intrinsic,
     is_c_admissible,
@@ -18,7 +17,7 @@ from ceaf import (
     max_attack_strength,
     view,
 )
-from conftest import by_ids
+from conftest import by_ids, load_fixture
 
 
 def test_attacks_known_pairs(ldp):
@@ -89,7 +88,7 @@ def test_view_running_example(ldp):
     # the purely internal full-capacity attacks are deleted
     a1, a3 = ldp.by_id("a1"), ldp.by_id("a3")
     assert vw.strength({a1}, a3) is None
-    assert ldp.strength({a1}, a3) == 3
+    assert ldp.strengths.strength({a1}, a3) == 3
 
 
 def test_view_of_singleton_deletes_nothing(ldp):
@@ -137,7 +136,7 @@ def _random(seed, aggregator):
 @pytest.mark.parametrize(
     "build",
     [
-        pytest.param(getattr(fixtures, n), id=n)
+        pytest.param(lambda n=n: load_fixture(n), id=n)
         for n in ("ldp", "seven", "asym", "disc", "indep_larger")
     ]
     + [_random(seed, agg) for seed in range(4) for agg in ("max", "sum")],
