@@ -41,6 +41,10 @@ def check(name, fw):
                 fw, attackers, target
             ) != oracle.brute_vmax(fw, attackers, target):
                 problems.append(("vmax", attackers, target))
+            if semantics.attacks(fw, attackers, target) != oracle.brute_attacks(
+                fw, attackers, target
+            ):
+                problems.append(("attacks", attackers, target))
     subsets = list(_subsets(fw.arguments, include_empty=True))
     ce = []
     for s in subsets:

@@ -29,14 +29,13 @@ from .core import (
     _subsets,
 )
 from .semantics import (
-    _minimal_attack_sets,
+    _unanswered_attack,
     attacks,
     c_attacks,
     c_defeats,
     enumerate_c_preferred,
     is_c_admissible,
     is_conflict_eliminable,
-    view,
 )
 
 Criterion = Literal["l", "b", "f"]
@@ -60,12 +59,7 @@ def is_one_directionally_attacked(fw: Framework, subset: Iterable[Arg]) -> bool:
     cannot counter-attack any element of that attacking set."""
     if not is_conflict_eliminable(fw, subset):
         raise NotConflictEliminable(_fmt(subset))
-    vw = view(fw, subset)
-    for member in sorted(subset):
-        for attack_set in _minimal_attack_sets(fw, vw, member):
-            if not any(c_attacks(fw, subset, sx) for sx in attack_set):
-                return True
-    return False
+    return _unanswered_attack(fw, subset, c_attacks)
 
 
 @_memoised
@@ -269,27 +263,28 @@ def max_profitable(
     return any(survives(sx) for sx in seconds)
 
 
+def _continuity(fw: Framework, subset: Iterable[Arg], limit: int):
+    """``_continuous_via`` for each profit-maximal superset of ``subset``."""
+    subset = frozenset(subset)
+    if not is_conflict_eliminable(fw, subset):
+        raise NotConflictEliminable(_fmt(subset))
+    _check_limit(fw, limit)
+    return (_continuous_via(fw, subset, sz) for sz in _max_sets(fw, subset))
+
+
 def is_weakly_continuous(
     fw: Framework, subset: Iterable[Arg], limit: int = SIZE_LIMIT_DEFAULT
 ) -> bool:
     """Some profit-maximal superset can be grown towards through permitted
     intermediate coalitions that are each profitable."""
-    subset = frozenset(subset)
-    if not is_conflict_eliminable(fw, subset):
-        raise NotConflictEliminable(_fmt(subset))
-    _check_limit(fw, limit)
-    return any(_continuous_via(fw, subset, sz) for sz in _max_sets(fw, subset))
+    return any(_continuity(fw, subset, limit))
 
 
 def is_continuous(
     fw: Framework, subset: Iterable[Arg], limit: int = SIZE_LIMIT_DEFAULT
 ) -> bool:
     """Every profit-maximal superset can be grown towards as above."""
-    subset = frozenset(subset)
-    if not is_conflict_eliminable(fw, subset):
-        raise NotConflictEliminable(_fmt(subset))
-    _check_limit(fw, limit)
-    return all(_continuous_via(fw, subset, sz) for sz in _max_sets(fw, subset))
+    return all(_continuity(fw, subset, limit))
 
 
 def _continuous_via(fw: Framework, subset: frozenset, sz: frozenset) -> bool:

@@ -191,21 +191,11 @@ class StrengthModel:
             return None
         values = []
         for x in attackers:
-            v = self._singleton(x, target)
+            v = self.strength(frozenset((x,)), target)
             if v is None:
                 return None
             values.append(v)
         return max(values) if self.aggregator == "max" else sum(values)
-
-    def _singleton(self, x: Arg, target: Arg) -> Optional[int]:
-        if x == target:
-            return None
-        v = self._lookup.get((frozenset((x,)), target))
-        if v is not None:
-            return v
-        if self.variant_policy == "persist":
-            return self._persist_default(frozenset((x,)), target)
-        return None
 
     def _persist_default(self, attackers: frozenset, target: Arg) -> Optional[int]:
         # A zero-capacity attacker carries no content and never attacks.
@@ -300,9 +290,64 @@ def _definable(model: StrengthModel, pool, target: Arg) -> list:
     if derives:
         ids = model._singleton_ids.get(target, ())
         core = [a for a in pool if a.id in ids]
-        core = [a for a in core if model._singleton(a, target) is not None]
+        core = [a for a in core if model.strength({a}, target) is not None]
         found.update(s for s in _id_unique_subsets(core) if len(s) > 1)
     return sorted(found, key=lambda s: sum(weight[a] for a in s))
+
+
+def _persist_projections(model: StrengthModel, pool: frozenset, target: Arg):
+    """Under persist, every listed entry on ``target`` whose identifiers are
+    distinct and all carried by the id-unique ``pool``, projected onto the
+    pool's instances of those identifiers."""
+    if model.variant_policy != "persist":
+        return
+    by_id = {a.id: a for a in pool}
+    if len(by_id) != len(pool):
+        return
+    for key in model._by_target.get(target, ()):
+        # ``by_id`` holds one instance per pool id, so the projection keeps
+        # all of ``key``'s members exactly when their ids are distinct and
+        # all in the pool
+        proj = frozenset(by_id.get(a.id) for a in key)
+        if len(proj) == len(key) and None not in proj:
+            yield proj
+
+
+def _resolving_candidates(model: StrengthModel, attackers: frozenset, target: Arg):
+    """Subsets of ``attackers`` that can possibly resolve a strength, without
+    scanning the whole powerset: the singleton-resolving core, every listed
+    entry key contained in ``attackers``, and (under persist) id-matched
+    projections of listed entry signatures."""
+    ids = model._singleton_ids.get(target, ())
+    core = frozenset(
+        x for x in attackers if x.id in ids and model.strength({x}, target) is not None
+    )
+    if core:
+        yield core
+        for x in sorted(core):
+            yield frozenset((x,))
+    for key in model._by_target.get(target, ()):
+        if key and key <= attackers:
+            yield key
+    yield from _persist_projections(model, attackers, target)
+
+
+def _minimal_attack_sets(model: StrengthModel, pool: frozenset, lookup, target: Arg):
+    """The minimal subsets of the id-unique ``pool`` to which ``lookup`` (the
+    model's ``strength``, or a view's, which drops purely internal attacks)
+    gives a strength against ``target``, by size then members.  Every larger
+    attacking set contains one, so quantifications over attacking sets only
+    need these.  A set only the fold defines contains a resolving singleton,
+    so the candidates are the singletons, listed keys and persist projections."""
+    singletons = (frozenset((x,)) for x in pool)
+    found = {s for s in singletons if lookup(s, target) is not None}
+    listed = (k for k in model._by_target.get(target, ()) if k <= pool)
+    for cand in itertools.chain(listed, _persist_projections(model, pool, target)):
+        if any(f <= cand for f in found) or lookup(cand, target) is None:
+            continue
+        found = {f for f in found if not cand < f}
+        found.add(cand)
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
 def _resolved(model: StrengthModel, domain: list) -> dict:

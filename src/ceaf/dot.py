@@ -1,17 +1,20 @@
 """Deterministic DOT rendering of frameworks and coalition views.
 
 One node per argument instance, labelled ``id (capacity)``.  One edge per
-minimal defined attack: an attack entry is drawn only if no proper subset of
-its attackers already resolves against the same target.  Group attacks are
-routed through a point-shaped junction node so the graph stays a plain
-digraph.  Node and edge order is sorted, so output is byte-stable.
+minimal defined attack: an attacker set with a defined strength against the
+target none of whose proper subsets has one.  These are the attacks the
+engine counts, persist-derived ones included: under ``persist`` a view's
+weakened coalition members keep the group attacks of their full-capacity
+entries.  Group attacks are routed through a point-shaped junction node so
+the graph stays a plain digraph.  Node and edge order is sorted, so output
+is byte-stable.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .core import Arg, Framework, _subsets
+from .core import Arg, Framework, _minimal_attack_sets
 from . import semantics
 
 
@@ -24,33 +27,15 @@ def _label(a: Arg) -> str:
 
 
 def minimal_attacks(fw: Framework, nodes: frozenset, strength_of) -> list:
-    """Defined attacks among ``nodes`` with minimal attacker sets: every
-    resolving singleton, plus listed group entries none of whose proper
-    subsets resolves."""
-    out = []
-    for source in sorted(nodes):
-        for target in sorted(nodes):
-            if source == target:
-                continue
-            v = strength_of(frozenset((source,)), target)
-            if v is not None:
-                out.append((frozenset((source,)), target, v))
-    for (attackers, target), _ in sorted(
-        fw.strengths._lookup.items(), key=lambda kv: (sorted(kv[0][0]), kv[0][1])
-    ):
-        if len(attackers) < 2 or target not in nodes or not attackers <= nodes:
-            continue
-        v = strength_of(attackers, target)
-        if v is None:
-            continue
-        if any(
-            strength_of(sub, target) is not None
-            for sub in _subsets(attackers)
-            if sub != attackers
-        ):
-            continue
-        out.append((attackers, target, v))
-    return out
+    """``(attackers, target, strength)`` for every minimal defined attack
+    among ``nodes``: singletons first, then groups, each by attackers then
+    target."""
+    edges = [
+        (attackers, target, strength_of(attackers, target))
+        for target in nodes
+        for attackers in _minimal_attack_sets(fw.strengths, nodes, strength_of, target)
+    ]
+    return sorted(edges, key=lambda e: (len(e[0]) > 1, sorted(e[0]), e[1]))
 
 
 def export_dot(fw: Framework, view_of: Optional[Iterable[Arg]] = None) -> str:

@@ -595,14 +595,17 @@ def generate_random(spec: RandomModelSpec) -> Framework:
     Singleton strengths are drawn uniformly from [1, target capacity + 1] at
     the configured density; group strengths come from the aggregator, and
     reduced-capacity lookups use persist defaulting so coalition views stay
-    computable.
+    computable.  An invalid spec raises ``ValueError`` naming its field.
     """
-    rng = random.Random(spec.seed)
     lo, hi = spec.capacity_range
-    args = [
-        Arg(f"x{i + 1}", rng.randint(max(1, lo), max(1, hi)))
-        for i in range(spec.argument_count)
-    ]
+    if spec.argument_count < 0:
+        raise ValueError("argument_count must be at least 0")
+    if not 1 <= lo <= hi:
+        raise ValueError("capacity_range must satisfy 1 <= lo <= hi")
+    if not 0 <= spec.attack_density <= 1:  # NaN fails both comparisons
+        raise ValueError("attack_density must lie in [0, 1]")
+    rng = random.Random(spec.seed)
+    args = [Arg(f"x{i + 1}", rng.randint(lo, hi)) for i in range(spec.argument_count)]
     entries = {}
     for source in args:
         for target in args:

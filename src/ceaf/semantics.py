@@ -27,61 +27,10 @@ from .core import (
     _definable,
     _fmt,
     _memoised,
+    _minimal_attack_sets,
+    _resolving_candidates,
     _subsets,
 )
-
-
-def _persist_projections(model, pool: frozenset, target: Arg):
-    """Under persist, every listed entry on ``target`` whose identifiers are
-    distinct and all carried by the id-unique ``pool``, projected onto the
-    pool's instances of those identifiers."""
-    if model.variant_policy != "persist":
-        return
-    by_id = {a.id: a for a in pool}
-    if len(by_id) != len(pool):
-        return
-    for key in model._by_target.get(target, ()):
-        # ``by_id`` holds one instance per pool id, so the projection keeps
-        # all of ``key``'s members exactly when their ids are distinct and
-        # all in the pool
-        proj = frozenset(by_id.get(a.id) for a in key)
-        if len(proj) == len(key) and None not in proj:
-            yield proj
-
-
-def _resolving_candidates(fw: Framework, attackers: frozenset, target: Arg):
-    """Subsets of ``attackers`` that can possibly resolve a strength, without
-    scanning the whole powerset: the singleton-resolving core, every listed
-    entry key contained in ``attackers``, and (under persist) id-matched
-    projections of listed entry signatures."""
-    model = fw.strengths
-    ids = model._singleton_ids.get(target, ())
-    core = frozenset(
-        x for x in attackers if x.id in ids and model.strength({x}, target) is not None
-    )
-    if core:
-        yield core
-        for x in sorted(core):
-            yield frozenset((x,))
-    for key in model._by_target.get(target, ()):
-        if key and key <= attackers:
-            yield key
-    yield from _persist_projections(model, attackers, target)
-
-
-def _attacked(fw: Framework, lookup, attackers: frozenset, target: Arg) -> bool:
-    """Does ``lookup`` give some subset of ``attackers`` a strength against
-    ``target``?"""
-    return any(
-        lookup(cand, target) is not None
-        for cand in _resolving_candidates(fw, attackers, target)
-    )
-
-
-def attacks(fw: Framework, attackers: Iterable[Arg], target: Arg) -> bool:
-    """Does some nonempty subset of ``attackers`` carry a defined strength
-    against ``target``?"""
-    return _attacked(fw, fw.strengths.strength, frozenset(attackers), target)
 
 
 def _strongest(fw: Framework, lookup, attackers: frozenset, target: Arg) -> int:
@@ -89,7 +38,7 @@ def _strongest(fw: Framework, lookup, attackers: frozenset, target: Arg) -> int:
     ``target``; 0 when it gives none."""
     best = 0
     seen = set()
-    for cand in _resolving_candidates(fw, attackers, target):
+    for cand in _resolving_candidates(fw.strengths, attackers, target):
         if cand in seen:
             continue
         seen.add(cand)
@@ -103,6 +52,12 @@ def max_attack_strength(fw: Framework, attackers: Iterable[Arg], target: Arg) ->
     """The maximum defined strength over subsets of ``attackers`` against
     ``target``; 0 when no subset attacks."""
     return _strongest(fw, fw.strengths.strength, frozenset(attackers), target)
+
+
+def attacks(fw: Framework, attackers: Iterable[Arg], target: Arg) -> bool:
+    """Does some nonempty subset of ``attackers`` carry a defined strength
+    against ``target``?  Every strength is at least 1."""
+    return max_attack_strength(fw, attackers, target) > 0
 
 
 def defeats(fw: Framework, attackers: Iterable[Arg], target: Arg) -> bool:
@@ -181,7 +136,7 @@ def c_attacks(fw: Framework, subset: Iterable[Arg], target: Arg) -> bool:
     if not is_conflict_eliminable(fw, subset):
         return False
     vw = view(fw, subset)
-    return _attacked(fw, vw.strength, vw.alpha, target)
+    return _strongest(fw, vw.strength, vw.alpha, target) > 0
 
 
 @_memoised
@@ -195,34 +150,18 @@ def c_defeats(fw: Framework, subset: Iterable[Arg], target: Arg) -> bool:
     return 0 < best and best >= target.capacity
 
 
-def _minimal_attack_sets(fw: Framework, vw: View, target: Arg):
-    """Minimal subsets of the view's arguments with a defined view strength
-    against ``target``.  Every larger attacking set contains one of these, so
-    quantifications over attacking sets only need them."""
-    model = fw.strengths
-    found = set()
-    # singletons
-    for x in sorted(vw.arguments):
-        if vw.strength(frozenset((x,)), target) is not None:
-            found.add(frozenset((x,)))
-    # listed entry keys inside the view that survive deletion
-    for key in sorted(model._by_target.get(target, ()), key=sorted):
-        if not key or not key <= vw.arguments:
-            continue
-        if vw.strength(key, target) is None:
-            continue
-        if any(f < key for f in found):
-            continue
-        found = {f for f in found if not key < f}
-        found.add(key)
-    for proj in _persist_projections(model, vw.arguments, target):
-        if vw.strength(proj, target) is None:
-            continue
-        if any(f <= proj for f in found):
-            continue
-        found = {f for f in found if not proj < f}
-        found.add(proj)
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
+def _unanswered_attack(fw: Framework, subset: frozenset, answers) -> bool:
+    """Some minimal attacking set on a member of the conflict-eliminable
+    ``subset``, in its view, has no element ``x`` with ``answers(fw, subset,
+    x)``."""
+    vw = view(fw, subset)
+    return any(
+        not any(answers(fw, subset, x) for x in sorted(attack_set))
+        for member in sorted(subset)
+        for attack_set in _minimal_attack_sets(
+            fw.strengths, vw.arguments, vw.strength, member
+        )
+    )
 
 
 def is_c_admissible(fw: Framework, subset: Iterable[Arg]) -> bool:
@@ -232,12 +171,7 @@ def is_c_admissible(fw: Framework, subset: Iterable[Arg]) -> bool:
     subset = frozenset(subset)
     if not is_conflict_eliminable(fw, subset):
         return False
-    vw = view(fw, subset)
-    for member in sorted(subset):
-        for attack_set in _minimal_attack_sets(fw, vw, member):
-            if not any(c_defeats(fw, subset, sx) for sx in sorted(attack_set)):
-                return False
-    return True
+    return not _unanswered_attack(fw, subset, c_defeats)
 
 
 def enumerate_conflict_eliminable(

@@ -397,6 +397,43 @@ def test_cli_export_dot_view(capsys):
     assert out == (GOLDDIR / "ldp-view-a1-a3.dot").read_text()
 
 
+def test_cli_view_and_dot_show_persist_reduced_group_attack(capsys, tmp_path):
+    # {y} -> x weakens x to x(1) in the view of {x, y}; under persist the
+    # listed {x(2), y(2)} -> z still resolves for {x(1), y(2)}, and c_defeats
+    # counts it, so view and DOT must show it
+    path = tmp_path / "persist.json"
+    path.write_text(
+        json.dumps(
+            {
+                "version": "1",
+                "aggregator": "max",
+                "variantPolicy": "persist",
+                "arguments": [{"id": i, "capacity": 2} for i in "xyz"],
+                "attacks": [
+                    {"from": ["y"], "to": "x", "strength": 1},
+                    {"from": ["x", "y"], "to": "z", "strength": 2},
+                ],
+            }
+        )
+    )
+    code, out, _ = run_cli(capsys, "--json", "view", str(path), "--set", "x,y")
+    assert code == 0
+    assert json.loads(out)["attacks"] == [
+        {"from": [["x", 1], ["y", 2]], "to": ["z", 2], "strength": 2}
+    ]
+    code, out, _ = run_cli(capsys, "view", str(path), "--set", "x,y")
+    assert "attack: {x(1), y(2)} -> z(2) [2]" in out.splitlines()
+    code, out, _ = run_cli(capsys, "export-dot", str(path), "--view", "x,y")
+    assert code == 0
+    for line in (
+        '"join_1" [shape=point];',
+        '"x_1" -> "join_1" [dir=none];',
+        '"y_2" -> "join_1" [dir=none];',
+        '"join_1" -> "z_2" [label="2"];',
+    ):
+        assert f"  {line}" in out.splitlines()
+
+
 def test_cli_random_round_trip(capsys, tmp_path):
     out_path = tmp_path / "random.json"
     code, _, err = run_cli(

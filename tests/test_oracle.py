@@ -27,6 +27,32 @@ def all_fixtures(request):
     return [request.getfixturevalue(name) for name in FIXTURE_NAMES]
 
 
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        (RandomModelSpec(-2), "argument_count"),
+        (RandomModelSpec(3, capacity_range=(0, 0)), "capacity_range"),
+        (RandomModelSpec(3, capacity_range=(0, 3)), "capacity_range"),
+        (RandomModelSpec(3, capacity_range=(3, 1)), "capacity_range"),
+        (RandomModelSpec(3, attack_density=-0.1), "attack_density"),
+        (RandomModelSpec(3, attack_density=1.5), "attack_density"),
+        (RandomModelSpec(3, attack_density=float("nan")), "attack_density"),
+    ],
+    ids=[
+        "negative-count",
+        "zero-capacity",
+        "zero-lower-capacity",
+        "empty-capacity-range",
+        "negative-density",
+        "density-above-one",
+        "nan-density",
+    ],
+)
+def test_generate_random_rejects_invalid_specs(spec, field):
+    with pytest.raises(ValueError, match=field):
+        generate_random(spec)
+
+
 def test_brute_vmax_examples(ldp):
     a1, a2, a3 = ldp.by_id("a1"), ldp.by_id("a2"), ldp.by_id("a3")
     assert oracle.brute_vmax(ldp, {a3}, a1) == 3
@@ -51,6 +77,9 @@ def test_vmax_matches_brute_force(request, random_models):
                     attackers,
                     target,
                 )
+                assert semantics.attacks(fw, attackers, target) == (
+                    oracle.brute_attacks(fw, attackers, target)
+                ), (fw, attackers, target)
 
 
 def test_alpha_and_views_match_brute_force(request, random_models):

@@ -1,19 +1,23 @@
 """Structural laws checked on the fixtures and on randomized frameworks."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ceaf import (
     Arg,
+    Framework,
     RandomModelSpec,
     check_theorem,
     generate_random,
     instantiated_closure,
     validate_axioms,
 )
-from ceaf import coalition, oracle, semantics
+from ceaf import coalition, dot, oracle, semantics
 from ceaf.core import _id_unique_subsets, _raisings, _subsets
 from conftest import state_leq_literal
+from test_core import strength_tables
 
 specs = st.builds(
     RandomModelSpec,
@@ -267,3 +271,45 @@ def test_formability_partners_properties(request, seven):
                 for p in partners:
                     assert p and not (p & s1)
                     assert coalition.coalition_permitted(fw, s1, p)
+
+
+def _probe_minimal_attacks(nodes, strength_of):
+    """Reference for ``dot.minimal_attacks``: every subset of ``nodes`` looked
+    up against every target, kept when no proper subset is defined too."""
+    members = sorted(nodes)
+    subsets = [
+        frozenset(c)
+        for r in range(1, len(members) + 1)
+        for c in itertools.combinations(members, r)
+    ]
+    edges = []
+    for t in members:
+        defined = {s: v for s in subsets if (v := strength_of(s, t)) is not None}
+        edges += [
+            (s, t, v) for s, v in defined.items() if not any(d < s for d in defined)
+        ]
+    return sorted(edges, key=lambda e: (len(e[0]) > 1, sorted(e[0]), e[1]))
+
+
+@pytest.mark.parametrize("policy", ["strict", "persist"])
+@pytest.mark.parametrize("aggregator", ["max", "sum", "explicit-only"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_dot_edges_are_the_minimal_defined_attacks(aggregator, policy, data):
+    # the tables carry group and reduced-variant entries, so under persist a
+    # view's weakened members resolve group attacks through lowered keys
+    model = data.draw(strength_tables(aggregator, policy))
+    variants = {}
+    for a in sorted(model.instances()):
+        variants.setdefault(a.id, []).append(a)
+    args = [data.draw(st.sampled_from(v)) for v in variants.values()]
+    fw = Framework(frozenset(args), model)
+    views = [(fw.arguments, model.strength)]
+    for s in _subsets(fw.arguments):
+        if semantics.is_conflict_eliminable(fw, s):
+            vw = semantics.view(fw, s)
+            views.append((vw.arguments, vw.strength))
+    for nodes, strength_of in views:
+        assert dot.minimal_attacks(fw, nodes, strength_of) == _probe_minimal_attacks(
+            nodes, strength_of
+        ), sorted(nodes)
