@@ -71,6 +71,8 @@ def check(name, fw):
             fw, s
         ) != oracle.brute_one_directional(fw, s):
             problems.append(("one-directional", s))
+        if coalition.max_sets(fw, s) != oracle.brute_max_sets(fw, s):
+            problems.append(("max-sets", s))
     if semantics.enumerate_c_preferred(fw) != oracle.brute_c_preferred(fw):
         problems.append(("c-preferred",))
     # the brute relational routes are doubly exponential; scope the bases

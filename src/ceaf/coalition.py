@@ -26,9 +26,9 @@ from .core import (
     _check_limit,
     _fmt,
     _memoised,
-    _subsets,
 )
 from .semantics import (
+    _conflict_eliminable_sets,
     _unanswered_attack,
     attacks,
     c_attacks,
@@ -151,20 +151,30 @@ def profitable(
 
 @_memoised
 def _profitable_holds(fw: Framework, first: frozenset, second: frozenset) -> bool:
-    return profitable(fw, first, second).holds
+    """``profitable(...).holds``, stopping at its first failing clause."""
+    return (
+        first <= second
+        and state_leq(fw, first, second)
+        and undefeated_external(fw, first, first)
+        >= undefeated_external(fw, first, second)
+    )
+
+
+def _members(fw: Framework, subset: Iterable[Arg]) -> frozenset:
+    """``subset`` as a frozenset; ValueError names any instance not in ``fw``."""
+    subset = frozenset(subset)
+    if not subset <= fw.arguments:
+        raise ValueError(f"{_fmt(subset - fw.arguments)} not in the framework")
+    return subset
 
 
 @_memoised
 def _max_sets(fw: Framework, subset: frozenset) -> tuple:
-    """Callers check the size limit first: it is not part of the memo key."""
+    """Callers check the size limit and ``_members`` first."""
     if not is_conflict_eliminable(fw, subset):
         raise NotConflictEliminable(_fmt(subset))
-    rest = fw.arguments - subset
-    reachable = [
-        subset | extra
-        for extra in _subsets(rest, include_empty=True)
-        if _profitable_holds(fw, subset, subset | extra)
-    ]
+    family = _conflict_eliminable_sets(fw)
+    reachable = [t for t in family if subset <= t and _profitable_holds(fw, subset, t)]
     maximal = [
         t for t in reachable if not any(t < other for other in reachable)
     ]
@@ -175,8 +185,9 @@ def max_sets(
     fw: Framework, subset: Iterable[Arg], limit: int = SIZE_LIMIT_DEFAULT
 ) -> list:
     """All profit-maximal supersets of the given conflict-eliminable set."""
+    subset = _members(fw, subset)
     _check_limit(fw, limit)
-    return list(_max_sets(fw, frozenset(subset)))
+    return list(_max_sets(fw, subset))
 
 
 def pref_supersets(
@@ -241,8 +252,8 @@ def max_profitable(
     coalition of ``second`` must, against every maximal coalition of
     ``first``, compensate each strict criterion loss with a strict win on
     another criterion."""
-    first, second = frozenset(first), frozenset(second)
-    if not profitable(fw, first, second).holds:
+    first, second = _members(fw, first), _members(fw, second)
+    if not _profitable_holds(fw, first, second):
         return False
     _check_limit(fw, limit)
     firsts = _max_sets(fw, first)
@@ -265,7 +276,7 @@ def max_profitable(
 
 def _continuity(fw: Framework, subset: Iterable[Arg], limit: int):
     """``_continuous_via`` for each profit-maximal superset of ``subset``."""
-    subset = frozenset(subset)
+    subset = _members(fw, subset)
     if not is_conflict_eliminable(fw, subset):
         raise NotConflictEliminable(_fmt(subset))
     _check_limit(fw, limit)
@@ -288,12 +299,11 @@ def is_continuous(
 
 
 def _continuous_via(fw: Framework, subset: frozenset, sz: frozenset) -> bool:
-    for extra in _subsets(sz - subset, include_empty=True):
-        sw = subset | extra
-        if coalition_permitted(fw, subset, sw - subset):
-            if not _profitable_holds(fw, subset, sw):
-                return False
-    return True
+    return all(
+        _profitable_holds(fw, subset, sw)
+        for sw in _conflict_eliminable_sets(fw)
+        if subset <= sw <= sz
+    )
 
 
 @dataclass(frozen=True)
@@ -316,7 +326,7 @@ def formability(
     """Partner sets the coalition may form under one of the four semantics:
     one-sided profit (W), mutual profit (M), one-sided maximal profit (WS),
     and mutual maximal profit (S)."""
-    subset = frozenset(subset)
+    subset = _members(fw, subset)
     if kind not in FORMABILITY_KINDS:
         raise ValueError(f"unknown formability kind {kind!r}")
     if not is_conflict_eliminable(fw, subset):
@@ -329,11 +339,12 @@ def formability(
         relation = lambda a, b: max_profitable(fw, a, b, fewer_basis, limit)
     combine = any if kind in ("W", "WS") else all
 
+    # every conflict-eliminable proper superset is a permitted union
     partners = []
-    for candidate in _subsets(fw.arguments - subset):
-        if not coalition_permitted(fw, subset, candidate):
-            continue
-        union = subset | candidate
-        if combine((relation(subset, union), relation(candidate, union))):
+    for union in _conflict_eliminable_sets(fw):
+        candidate = union - subset
+        if subset < union and combine(
+            (relation(subset, union), relation(candidate, union))
+        ):
             partners.append(candidate)
     return FormabilityResult(kind, subset, tuple(sorted(partners, key=lambda s: (len(s), sorted(s)))))

@@ -132,6 +132,10 @@ class StrengthModel:
     def __post_init__(self):
         lookup = {}
         for (attackers, target), strength in self.entries_items:
+            if strength < 1:
+                raise ValueError(
+                    f"strength {strength} < 1 for attack {_fmt(attackers)} on {target}"
+                )
             lookup[(frozenset(attackers), target)] = strength
         # Indexes over ``lookup``: each target's listed attacker keys in
         # ``lookup`` order, the id-unique keys by (target, id signature), and
@@ -392,9 +396,8 @@ def instantiated_closure(fw: Framework) -> frozenset:
     from . import semantics  # deferred; semantics depends on core
 
     closure = set(fw.arguments) | set(fw.strengths.instances())
-    for subset in _subsets(fw.arguments):
-        if semantics.is_conflict_eliminable(fw, subset):
-            closure.update(semantics.intrinsic(fw, subset))
+    for subset in semantics._conflict_eliminable_sets(fw):
+        closure.update(semantics.intrinsic(fw, subset))
     return frozenset(closure)
 
 
@@ -408,25 +411,18 @@ def validate_axioms(
     The domain is the instantiated closure; attacker sets range over its
     identifier-unique subsets (duplicate-identifier sets never arise in the
     semantics).  With ``restricted`` the two closure axioms and the three
-    monotonicity axioms are skipped, leaving coherence, positivity and the
-    self-attack ban, which is the regime used for the reduction to plain
-    group-attack frameworks.
+    monotonicity axioms are skipped, leaving coherence and the self-attack
+    ban, which is the regime used for the reduction to plain group-attack
+    frameworks.  Positivity holds by construction: ``StrengthModel`` rejects
+    a strength below 1.
     """
     _check_limit(fw, max_domain)
     violations = list(validate_coherent(fw.arguments).violations)
 
-    for (attackers, target), v in sorted(fw.strengths._lookup.items()):
+    for attackers, target in sorted(fw.strengths._lookup):
         if not attackers:
             violations.append(
                 Violation("coherence", (target,), "entry with empty attacker set")
-            )
-        if v < 1:
-            violations.append(
-                Violation(
-                    "positive strength",
-                    (attackers, target),
-                    f"strength {v} < 1 for attack on {target}",
-                )
             )
         if target in attackers:
             violations.append(

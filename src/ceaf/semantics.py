@@ -174,21 +174,24 @@ def is_c_admissible(fw: Framework, subset: Iterable[Arg]) -> bool:
     return not _unanswered_attack(fw, subset, c_defeats)
 
 
+@_memoised
+def _conflict_eliminable_sets(fw: Framework) -> tuple:
+    """Every conflict-eliminable subset of the framework's arguments, in
+    ``_subsets`` order.  Callers check the size limit first."""
+    subsets = _subsets(fw.arguments, include_empty=True)
+    return tuple(s for s in subsets if is_conflict_eliminable(fw, s))
+
+
 def enumerate_conflict_eliminable(
     fw: Framework, limit: int = SIZE_LIMIT_DEFAULT
 ) -> list:
     _check_limit(fw, limit)
-    subsets = _subsets(fw.arguments, include_empty=True)
-    return [s for s in subsets if is_conflict_eliminable(fw, s)]
+    return list(_conflict_eliminable_sets(fw))
 
 
 def enumerate_c_admissible(fw: Framework, limit: int = SIZE_LIMIT_DEFAULT) -> list:
     _check_limit(fw, limit)
-    return [
-        s
-        for s in _subsets(fw.arguments, include_empty=True)
-        if is_c_admissible(fw, s)
-    ]
+    return [s for s in _conflict_eliminable_sets(fw) if is_c_admissible(fw, s)]
 
 
 def enumerate_c_preferred(fw: Framework, limit: int = SIZE_LIMIT_DEFAULT) -> list:

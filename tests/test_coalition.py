@@ -7,11 +7,14 @@ from ceaf import (
     Arg,
     Framework,
     NotConflictEliminable,
+    RandomModelSpec,
     StateRank,
     attackers,
     coalition_permitted,
     crit_leq,
     formability,
+    generate_random,
+    instantiated_closure,
     is_continuous,
     is_one_directionally_attacked,
     is_weakly_continuous,
@@ -23,9 +26,10 @@ from ceaf import (
     state_rank,
     undefeated_external,
 )
-from ceaf import semantics
-from ceaf.coalition import crit_less
-from conftest import by_ids, load_fixture, state_leq_literal
+from ceaf import coalition, oracle, semantics
+from ceaf.coalition import FORMABILITY_KINDS, crit_less
+from ceaf.core import _subsets
+from conftest import FIXTURE_FILES, by_ids, load_fixture, state_leq_literal
 
 
 def attack_free(n=2):
@@ -291,3 +295,194 @@ def test_memoised_queries_accept_any_iterable(query):
     assert len(table) == 2
     for key in table:
         assert all(isinstance(k, (frozenset, Arg)) for k in key), key
+
+
+def test_non_member_base_is_rejected(ldp):
+    # a1(1) is not ldp's a1(4): growing it by the framework's own arguments
+    # would give a "coalition" holding two instances of a1.
+    base = frozenset([Arg("a1", 1)])
+    assert oracle.brute_max_sets(ldp, base) == []
+    member = by_ids(ldp, "a1")
+    queries = (
+        lambda: max_sets(ldp, base),
+        lambda: max_profitable(ldp, base, base | member),
+        lambda: max_profitable(ldp, member, base | member),
+        lambda: is_continuous(ldp, base),
+        lambda: is_weakly_continuous(ldp, base),
+        *(lambda k=kind: formability(ldp, k, base) for kind in FORMABILITY_KINDS),
+    )
+    for query in queries:
+        with pytest.raises(ValueError, match=r"a1\(1\)"):
+            query()
+
+
+class Powerset:
+    """The coalition walkers in their powerset forms, which visit every
+    superset of a base instead of the memoised conflict-eliminable family:
+    the reference the family walk must reproduce."""
+
+    def __init__(self, fw):
+        self.fw = fw
+        self._max_sets = {}
+
+    def enumerate_conflict_eliminable(self):
+        subsets = _subsets(self.fw.arguments, include_empty=True)
+        return [s for s in subsets if semantics.is_conflict_eliminable(self.fw, s)]
+
+    def enumerate_c_admissible(self):
+        subsets = _subsets(self.fw.arguments, include_empty=True)
+        return [s for s in subsets if semantics.is_c_admissible(self.fw, s)]
+
+    def instantiated_closure(self):
+        fw = self.fw
+        closure = set(fw.arguments) | set(fw.strengths.instances())
+        for subset in _subsets(fw.arguments):
+            if semantics.is_conflict_eliminable(fw, subset):
+                closure.update(semantics.intrinsic(fw, subset))
+        return frozenset(closure)
+
+    def max_sets(self, subset):
+        if subset not in self._max_sets:
+            fw = self.fw
+            reachable = [
+                subset | extra
+                for extra in _subsets(fw.arguments - subset, include_empty=True)
+                if profitable(fw, subset, subset | extra).holds
+            ]
+            maximal = [t for t in reachable if not any(t < o for o in reachable)]
+            self._max_sets[subset] = sorted(maximal, key=lambda s: (len(s), sorted(s)))
+        return self._max_sets[subset]
+
+    def max_profitable(self, first, second):
+        fw = self.fw
+        if not profitable(fw, first, second).holds:
+            return False
+        criteria = ("l", "b", "f")
+
+        def survives(sx):
+            return not any(
+                crit_less(fw, beta, sx, sy, "own", first)
+                and not any(
+                    crit_less(fw, gamma, sy, sx, "own", first)
+                    for gamma in criteria
+                    if gamma != beta
+                )
+                for sy in self.max_sets(first)
+                for beta in criteria
+            )
+
+        return any(survives(sx) for sx in self.max_sets(second))
+
+    def continuous_via(self, subset, sz):
+        for extra in _subsets(sz - subset, include_empty=True):
+            sw = subset | extra
+            if coalition_permitted(self.fw, subset, sw - subset):
+                if not profitable(self.fw, subset, sw).holds:
+                    return False
+        return True
+
+    def is_continuous(self, subset):
+        return all(self.continuous_via(subset, sz) for sz in self.max_sets(subset))
+
+    def is_weakly_continuous(self, subset):
+        return any(self.continuous_via(subset, sz) for sz in self.max_sets(subset))
+
+    def formability(self, kind, subset):
+        fw = self.fw
+        if kind in ("W", "M"):
+            relation = lambda a, b: profitable(fw, a, b).holds
+        else:
+            relation = self.max_profitable
+        combine = any if kind in ("W", "WS") else all
+        partners = []
+        for candidate in _subsets(fw.arguments - subset):
+            if not coalition_permitted(fw, subset, candidate):
+                continue
+            union = subset | candidate
+            if combine((relation(subset, union), relation(candidate, union))):
+                partners.append(candidate)
+        return sorted(partners, key=lambda s: (len(s), sorted(s)))
+
+
+def non_monotone_group_entry():
+    """Sum aggregation with a listed group entry, {x0, x1, x4} -> x2 = 1,
+    below the fold of its proper subset {x1, x4} (1 + 2 = 3).  While
+    ``core._resolving_candidates`` does not try unlisted proper subsets of a
+    listed key, the engine's conflict-eliminable family here holds
+    {x0, x1, x2, x4} but not {x1, x2, x4}; the family walk filters the
+    family and must not assume it is closed under subsets."""
+    x0, x1, x2, x4 = Arg("x0", 1), Arg("x1", 1), Arg("x2", 3), Arg("x4", 3)
+    entries = {
+        (frozenset([x0]), x2): 1,
+        (frozenset([x1]), x2): 1,
+        (frozenset([x4]), x2): 2,
+        (frozenset([x0, x1, x4]), x2): 1,
+    }
+    return Framework.build([x0, x1, x2, x4], entries, "sum", "strict")
+
+
+DIFFERENTIAL_FRAMEWORKS = {
+    **{path.stem: lambda name=path.stem: load_fixture(name) for path in FIXTURE_FILES},
+    **{
+        f"random-{n}-{agg}": (
+            lambda spec=RandomModelSpec(n, (1, 4), density, agg, seed): (
+                generate_random(spec)
+            )
+        )
+        for n, density, agg, seed in (
+            (6, 0.3, "max", 61),
+            (6, 0.25, "sum", 62),
+            (7, 0.25, "max", 72),
+            (7, 0.3, "sum", 71),
+            (8, 0.25, "max", 81),
+            (8, 0.3, "sum", 82),
+        )
+    },
+    "non-monotone-group-entry": non_monotone_group_entry,
+}
+
+
+@pytest.mark.parametrize(
+    "make", DIFFERENTIAL_FRAMEWORKS.values(), ids=DIFFERENTIAL_FRAMEWORKS
+)
+def test_family_walk_matches_powerset_walk(make):
+    fw, ref = make(), Powerset(make())
+    family = ref.enumerate_conflict_eliminable()
+    assert semantics.enumerate_conflict_eliminable(fw) == family
+    assert semantics.enumerate_c_admissible(fw) == ref.enumerate_c_admissible()
+    assert instantiated_closure(fw) == ref.instantiated_closure()
+    for base in family:
+        assert max_sets(fw, base) == ref.max_sets(base), base
+        assert is_continuous(fw, base) == ref.is_continuous(base), base
+        assert is_weakly_continuous(fw, base) == ref.is_weakly_continuous(base), base
+        for kind in FORMABILITY_KINDS:
+            partners = formability(fw, kind, base).sorted_partners()
+            assert partners == ref.formability(kind, base), (kind, base)
+
+
+@pytest.mark.parametrize("name", [path.stem for path in FIXTURE_FILES])
+def test_profitable_holds_is_the_verdict(name):
+    fw = load_fixture(name)
+    family = semantics.enumerate_conflict_eliminable(fw)
+    for first in family:
+        for second in family:
+            assert coalition._profitable_holds(fw, first, second) == (
+                profitable(fw, first, second).holds
+            ), (first, second)
+
+
+def test_max_sets_visits_only_the_conflict_eliminable_supersets(monkeypatch):
+    fw = load_fixture("seven")
+    base = by_ids(fw, "a2")
+    calls = []
+    holds = coalition._profitable_holds
+
+    def counted(fw, first, second):
+        calls.append((first, second))
+        return holds(fw, first, second)
+
+    monkeypatch.setattr(coalition, "_profitable_holds", counted)
+    max_sets(fw, base)
+    supersets = [s for s in semantics.enumerate_conflict_eliminable(fw) if base <= s]
+    assert len(calls) <= len(supersets) < 2 ** (len(fw.arguments) - 1)
+    assert {second for _, second in calls} <= set(supersets)

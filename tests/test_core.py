@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -320,6 +322,15 @@ def test_validate_axioms_flags_self_attack():
     fw = Framework.build([a1], {(frozenset({a1}), a1): 1})
     report = validate_axioms(fw)
     assert any(v.axiom == "no self attacks" for v in report.violations)
+
+
+@pytest.mark.parametrize("strength", [0, -1])
+def test_strength_model_rejects_strength_below_one(strength):
+    # The loader rejects such an entry; the library admits the same tables.
+    x, y = Arg("x", 2), Arg("y", 2)
+    message = f"strength {strength} < 1 for attack {{x(2)}} on y(2)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Framework.build([x, y], {(frozenset({x}), y): strength})
 
 
 def test_validate_axioms_flags_subset_monotonicity():
