@@ -317,25 +317,6 @@ def _persist_projections(model: StrengthModel, pool: frozenset, target: Arg):
             yield proj
 
 
-def _resolving_candidates(model: StrengthModel, attackers: frozenset, target: Arg):
-    """Subsets of ``attackers`` that can possibly resolve a strength, without
-    scanning the whole powerset: the singleton-resolving core, every listed
-    entry key contained in ``attackers``, and (under persist) id-matched
-    projections of listed entry signatures."""
-    ids = model._singleton_ids.get(target, ())
-    core = frozenset(
-        x for x in attackers if x.id in ids and model.strength({x}, target) is not None
-    )
-    if core:
-        yield core
-        for x in sorted(core):
-            yield frozenset((x,))
-    for key in model._by_target.get(target, ()):
-        if key and key <= attackers:
-            yield key
-    yield from _persist_projections(model, attackers, target)
-
-
 def _minimal_attack_sets(model: StrengthModel, pool: frozenset, lookup, target: Arg):
     """The minimal subsets of the id-unique ``pool`` to which ``lookup`` (the
     model's ``strength``, or a view's, which drops purely internal attacks)
@@ -388,6 +369,117 @@ def _memoised(fn):
     return memo
 
 
+class _Target:
+    """One target's tables in a ``_Masks`` context."""
+
+    __slots__ = ("target", "resolving", "single", "keys", "projections", "values")
+
+
+class _Masks:
+    """A framework's instances interned as bits, so that a set of them is an
+    ``int``: the sorted base arguments take the first bits, and every other
+    instance the next free bit when first met.  Per target it keeps the mask
+    of the instances that resolve alone and their strengths, the masks of the
+    listed keys, the identifier tuples of the persist projections, and
+    ``StrengthModel.strength`` memoised by attacker mask.  It holds the model,
+    not the framework, whose memo holds it."""
+
+    def __init__(self, model: StrengthModel, arguments):
+        self.model, self.args, self.records = model, [], []
+        self.bits, self.id_masks, self.variants = {}, {}, set()
+        for a in sorted(arguments):
+            self.bit(a)
+
+    def bit(self, a: Arg) -> int:
+        b = self.bits.get(a)
+        if b is None:
+            b = self.bits[a] = 1 << len(self.args)
+            self.args.append(a)
+            self.records.append(None)
+            if a.id in self.id_masks:
+                self.variants.add(a.id)
+            self.id_masks[a.id] = self.id_masks.get(a.id, 0) | b
+            for rec in self.records:
+                if rec is not None:
+                    self._note(rec, a, b)
+        return b
+
+    def mask(self, instances) -> int:
+        m, bits = 0, self.bits
+        for a in instances:
+            m |= bits.get(a) or self.bit(a)
+        return m
+
+    def members(self, mask: int) -> frozenset:
+        return frozenset(a for i, a in enumerate(self.args) if mask >> i & 1)
+
+    def target(self, t: Arg) -> _Target:
+        return self.record(self.bit(t).bit_length() - 1)
+
+    def record(self, i: int) -> _Target:
+        rec = self.records[i]
+        if rec is None:
+            rec = _Target()
+            rec.target, rec.resolving, rec.single, rec.values = self.args[i], 0, {}, {}
+            listed = [k for k in self.model._by_target.get(rec.target, ()) if k]
+            rec.keys = [self.mask(k) for k in listed]
+            persist = self.model.variant_policy == "persist"
+            ids = [tuple({a.id for a in k}) for k in listed if persist]
+            rec.projections = [s for s, k in zip(ids, listed) if len(s) == len(k)]
+            self.records[i] = rec
+            for a, b in self.bits.items():
+                self._note(rec, a, b)
+        return rec
+
+    def _note(self, rec: _Target, a: Arg, b: int) -> None:
+        if a.id in self.model._singleton_ids.get(rec.target, ()):
+            v = self.strength(rec, b)
+            if v is not None:
+                rec.resolving |= b
+                rec.single[b] = v
+
+    def strength(self, rec: _Target, mask: int) -> Optional[int]:
+        v = rec.values.get(mask, _MISSING)
+        if v is _MISSING:
+            v = rec.values[mask] = self.model.strength(self.members(mask), rec.target)
+        return v
+
+    def best(self, rec: _Target, attackers: int, drop: int = 0) -> int:
+        """The largest strength of a subset of ``attackers`` on ``rec``'s
+        target, 0 when none has one; subsets inside ``drop`` do not count.
+        The candidates are the singleton-resolving core, its singletons, the
+        listed keys inside ``attackers`` and, when ``attackers`` is id-unique,
+        the persist projections onto it."""
+        best, keep, core = 0, ~drop, attackers & rec.resolving
+        if core & keep:
+            best = max(v for b, v in rec.single.items() if b & core & keep)
+            best = max(best, self.strength(rec, core) or 0)
+        for k in rec.keys:
+            if not k & ~attackers and k & keep:
+                best = max(best, self.strength(rec, k) or 0)
+        if rec.projections and all(
+            not (m := attackers & self.id_masks[i]) & (m - 1) for i in self.variants
+        ):
+            for ids in rec.projections:
+                parts = [attackers & self.id_masks[i] for i in ids]
+                if all(parts) and sum(parts) & keep:
+                    best = max(best, self.strength(rec, sum(parts)) or 0)
+        return best
+
+    def conflict_eliminable(self, mask: int) -> bool:
+        """No instance of ``mask`` is defeated by ``mask``."""
+        return not any(
+            self.best(self.records[i] or self.record(i), mask) >= self.args[i].capacity
+            for i in range(mask.bit_length())
+            if mask >> i & 1
+        )
+
+
+@_memoised
+def _masks(fw: Framework) -> _Masks:
+    return _Masks(fw.strengths, fw.arguments)
+
+
 @_memoised
 def instantiated_closure(fw: Framework) -> frozenset:
     """All instances the semantics can touch: base arguments, every instance
@@ -417,6 +509,9 @@ def validate_axioms(
     a strength below 1.
     """
     _check_limit(fw, max_domain)
+    n = len(fw.arguments | fw.strengths.instances())  # the closure holds at least these
+    if n > max_domain:
+        raise SizeLimitExceeded(f"closure has at least {n} instances (> {max_domain})")
     violations = list(validate_coherent(fw.arguments).violations)
 
     for attackers, target in sorted(fw.strengths._lookup):

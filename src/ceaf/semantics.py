@@ -14,6 +14,7 @@ the original, full-capacity members.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -26,32 +27,17 @@ from .core import (
     _check_limit,
     _definable,
     _fmt,
+    _masks,
     _memoised,
     _minimal_attack_sets,
-    _resolving_candidates,
-    _subsets,
 )
-
-
-def _strongest(fw: Framework, lookup, attackers: frozenset, target: Arg) -> int:
-    """The maximum strength ``lookup`` gives a subset of ``attackers`` against
-    ``target``; 0 when it gives none."""
-    best = 0
-    seen = set()
-    for cand in _resolving_candidates(fw.strengths, attackers, target):
-        if cand in seen:
-            continue
-        seen.add(cand)
-        v = lookup(cand, target)
-        if v is not None and v > best:
-            best = v
-    return best
 
 
 def max_attack_strength(fw: Framework, attackers: Iterable[Arg], target: Arg) -> int:
     """The maximum defined strength over subsets of ``attackers`` against
     ``target``; 0 when no subset attacks."""
-    return _strongest(fw, fw.strengths.strength, frozenset(attackers), target)
+    masks = _masks(fw)
+    return masks.best(masks.target(target), masks.mask(attackers))
 
 
 def attacks(fw: Framework, attackers: Iterable[Arg], target: Arg) -> bool:
@@ -72,7 +58,8 @@ def defeats(fw: Framework, attackers: Iterable[Arg], target: Arg) -> bool:
 @_memoised
 def is_conflict_eliminable(fw: Framework, subset: Iterable[Arg]) -> bool:
     """No member of the set is defeated by the set itself."""
-    return all(not defeats(fw, subset, s) for s in subset)
+    masks = _masks(fw)
+    return masks.conflict_eliminable(masks.mask(subset))
 
 
 @_memoised
@@ -128,25 +115,29 @@ def view(fw: Framework, subset: Iterable[Arg]) -> View:
     return View(fw.strengths, subset, alpha, frozenset(args), tuple(diagnostics))
 
 
+def _view_strongest(fw: Framework, subset: frozenset, target: Arg) -> int:
+    """The largest strength a subset of the intrinsic arguments of ``subset``
+    has on ``target`` in its view, ``View.strength``'s rule as a mask test; 0
+    when ``subset`` is not conflict-eliminable."""
+    if not is_conflict_eliminable(fw, subset):
+        return 0
+    masks, alpha = _masks(fw), view(fw, subset).alpha
+    drop = masks.mask(subset) if target in subset else 0
+    return masks.best(masks.target(target), masks.mask(alpha), drop)
+
+
 def c_attacks(fw: Framework, subset: Iterable[Arg], target: Arg) -> bool:
     """Does some subset of the coalition's intrinsic arguments carry a defined
     strength against ``target`` inside the coalition's view?  False when the
     coalition is not conflict-eliminable."""
-    subset = frozenset(subset)
-    if not is_conflict_eliminable(fw, subset):
-        return False
-    vw = view(fw, subset)
-    return _strongest(fw, vw.strength, vw.alpha, target) > 0
+    return _view_strongest(fw, frozenset(subset), target) > 0
 
 
 @_memoised
 def c_defeats(fw: Framework, subset: Iterable[Arg], target: Arg) -> bool:
     """As ``c_attacks`` but requiring view strength at least the target's
     capacity."""
-    if not is_conflict_eliminable(fw, subset):
-        return False
-    vw = view(fw, subset)
-    best = _strongest(fw, vw.strength, vw.alpha, target)
+    best = _view_strongest(fw, subset, target)
     return 0 < best and best >= target.capacity
 
 
@@ -178,8 +169,10 @@ def is_c_admissible(fw: Framework, subset: Iterable[Arg]) -> bool:
 def _conflict_eliminable_sets(fw: Framework) -> tuple:
     """Every conflict-eliminable subset of the framework's arguments, in
     ``_subsets`` order.  Callers check the size limit first."""
-    subsets = _subsets(fw.arguments, include_empty=True)
-    return tuple(s for s in subsets if is_conflict_eliminable(fw, s))
+    masks, n = _masks(fw), len(fw.arguments)
+    bits = [1 << i for i in range(n)]  # the sorted arguments, as in ``_subsets``
+    combos = (sum(c) for r in range(n + 1) for c in itertools.combinations(bits, r))
+    return tuple(masks.members(m) for m in combos if masks.conflict_eliminable(m))
 
 
 def enumerate_conflict_eliminable(

@@ -407,8 +407,8 @@ class Powerset:
 def non_monotone_group_entry():
     """Sum aggregation with a listed group entry, {x0, x1, x4} -> x2 = 1,
     below the fold of its proper subset {x1, x4} (1 + 2 = 3).  While
-    ``core._resolving_candidates`` does not try unlisted proper subsets of a
-    listed key, the engine's conflict-eliminable family here holds
+    ``core._Masks.best`` does not try unlisted proper subsets of a listed
+    key, the engine's conflict-eliminable family here holds
     {x0, x1, x2, x4} but not {x1, x2, x4}; the family walk filters the
     family and must not assume it is closed under subsets."""
     x0, x1, x2, x4 = Arg("x0", 1), Arg("x1", 1), Arg("x2", 3), Arg("x4", 3)

@@ -389,6 +389,24 @@ def test_validate_axioms_checks_size_before_the_closure():
         validate_axioms(fw)
 
 
+def test_validate_axioms_checks_table_instances_before_the_closure(monkeypatch):
+    # 2 arguments, but the table names 25 reduced variants of x: the closure
+    # has at least 27 instances, which the guard can count without building it
+    from ceaf import semantics
+
+    x, y = Arg("x", 30), Arg("y", 30)
+    entries = {(frozenset([x.with_capacity(c)]), y): 1 for c in range(1, 26)}
+    fw = Framework.build([x, y], entries)
+    walks = []
+    walk = semantics._conflict_eliminable_sets
+    monkeypatch.setattr(
+        semantics, "_conflict_eliminable_sets", lambda fw: walks.append(fw) or walk(fw)
+    )
+    with pytest.raises(SizeLimitExceeded, match="27 instances"):
+        validate_axioms(fw)
+    assert walks == []
+
+
 def test_framework_roundtrips_by_id(ldp):
     assert ldp.by_id("a2") == Arg("a2", 3)
     with pytest.raises(KeyError):
