@@ -77,7 +77,7 @@ def build_parser() -> _Parser:
     )
     parser.add_argument(
         "--fewer-basis",
-        choices=["own", "shared"],
+        choices=list(coalition.FEWER_BASES),
         default="own",
         help="attacker base used by the f criterion of maximal profitability",
     )
@@ -110,9 +110,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("np", help="plain group-attack semantics")
     p.add_argument("file")
-    p.add_argument(
-        "--kind", required=True, choices=["conflict-free", "admissible", "preferred"]
-    )
+    p.add_argument("--kind", required=True, choices=list(npreduction.NP_KINDS))
 
     p = sub.add_parser("check", help="run a theorem checker")
     p.add_argument("file")
@@ -205,7 +203,7 @@ def _dispatch(args) -> int:
         edges = [
             ([[a.id, a.capacity] for a in sorted(attackers)], target, v)
             for attackers, target, v in dot.minimal_attacks(
-                fw, vw.arguments, vw.strength
+                fw, vw.arguments, vw.base
             )
         ]
         payload = {

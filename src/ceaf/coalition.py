@@ -43,6 +43,7 @@ FewerBasis = Literal["own", "shared"]
 FormabilityKind = Literal["W", "M", "WS", "S"]
 
 FORMABILITY_KINDS = ("W", "M", "WS", "S")
+FEWER_BASES = ("own", "shared")
 
 
 class StateRank(enum.IntEnum):
@@ -198,6 +199,11 @@ def pref_supersets(
     return [s for s in enumerate_c_preferred(fw, limit) if subset <= s]
 
 
+def _check_basis(fewer_basis: str) -> None:
+    if fewer_basis not in FEWER_BASES:
+        raise ValueError(f"unknown fewer basis {fewer_basis!r}")
+
+
 def crit_leq(
     fw: Framework,
     beta: Criterion,
@@ -211,21 +217,23 @@ def crit_leq(
     better)?  For ``f`` each set is measured against its own attacker base by
     default; the ``shared`` basis measures both against ``shared_base``."""
     first, second = frozenset(first), frozenset(second)
+    if beta not in ("l", "b", "f"):
+        raise ValueError(f"unknown criterion {beta!r}")
+    if beta == "f":
+        _check_basis(fewer_basis)
     if beta == "l":
         return len(first) <= len(second)
     if not (is_conflict_eliminable(fw, first) and is_conflict_eliminable(fw, second)):
         raise NotConflictEliminable("criteria b/f compare conflict-eliminable sets")
     if beta == "b":
         return state_rank(fw, first) <= state_rank(fw, second)
-    if beta == "f":
-        if fewer_basis == "own":
-            return undefeated_external(fw, second, second) <= undefeated_external(
-                fw, first, first
-            )
-        return undefeated_external(fw, shared_base, second) <= undefeated_external(
-            fw, shared_base, first
+    if fewer_basis == "own":
+        return undefeated_external(fw, second, second) <= undefeated_external(
+            fw, first, first
         )
-    raise ValueError(f"unknown criterion {beta!r}")
+    return undefeated_external(fw, shared_base, second) <= undefeated_external(
+        fw, shared_base, first
+    )
 
 
 def crit_less(
@@ -252,6 +260,7 @@ def max_profitable(
     coalition of ``second`` must, against every maximal coalition of
     ``first``, compensate each strict criterion loss with a strict win on
     another criterion."""
+    _check_basis(fewer_basis)
     first, second = _members(fw, first), _members(fw, second)
     if not _profitable_holds(fw, first, second):
         return False
@@ -326,9 +335,10 @@ def formability(
     """Partner sets the coalition may form under one of the four semantics:
     one-sided profit (W), mutual profit (M), one-sided maximal profit (WS),
     and mutual maximal profit (S)."""
-    subset = _members(fw, subset)
     if kind not in FORMABILITY_KINDS:
         raise ValueError(f"unknown formability kind {kind!r}")
+    _check_basis(fewer_basis)
+    subset = _members(fw, subset)
     if not is_conflict_eliminable(fw, subset):
         raise NotConflictEliminable(_fmt(subset))
     _check_limit(fw, limit)

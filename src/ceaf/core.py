@@ -299,42 +299,6 @@ def _definable(model: StrengthModel, pool, target: Arg) -> list:
     return sorted(found, key=lambda s: sum(weight[a] for a in s))
 
 
-def _persist_projections(model: StrengthModel, pool: frozenset, target: Arg):
-    """Under persist, every listed entry on ``target`` whose identifiers are
-    distinct and all carried by the id-unique ``pool``, projected onto the
-    pool's instances of those identifiers."""
-    if model.variant_policy != "persist":
-        return
-    by_id = {a.id: a for a in pool}
-    if len(by_id) != len(pool):
-        return
-    for key in model._by_target.get(target, ()):
-        # ``by_id`` holds one instance per pool id, so the projection keeps
-        # all of ``key``'s members exactly when their ids are distinct and
-        # all in the pool
-        proj = frozenset(by_id.get(a.id) for a in key)
-        if len(proj) == len(key) and None not in proj:
-            yield proj
-
-
-def _minimal_attack_sets(model: StrengthModel, pool: frozenset, lookup, target: Arg):
-    """The minimal subsets of the id-unique ``pool`` to which ``lookup`` (the
-    model's ``strength``, or a view's, which drops purely internal attacks)
-    gives a strength against ``target``, by size then members.  Every larger
-    attacking set contains one, so quantifications over attacking sets only
-    need these.  A set only the fold defines contains a resolving singleton,
-    so the candidates are the singletons, listed keys and persist projections."""
-    singletons = (frozenset((x,)) for x in pool)
-    found = {s for s in singletons if lookup(s, target) is not None}
-    listed = (k for k in model._by_target.get(target, ()) if k <= pool)
-    for cand in itertools.chain(listed, _persist_projections(model, pool, target)):
-        if any(f <= cand for f in found) or lookup(cand, target) is None:
-            continue
-        found = {f for f in found if not cand < f}
-        found.add(cand)
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
-
-
 def _resolved(model: StrengthModel, domain: list) -> dict:
     """Every defined strength over ``domain``: targets in ``domain`` order,
     attacker sets in ``_id_unique_subsets(domain)`` order."""
@@ -466,6 +430,27 @@ class _Masks:
                     best = max(best, self.strength(rec, sum(parts)) or 0)
         return best
 
+    def minimal(self, rec: _Target, pool: int, drop: int = 0) -> list:
+        """The minimal subsets of the id-unique ``pool`` with a strength on
+        ``rec``'s target, smallest first; subsets inside ``drop`` do not count.
+        Every larger attacking set contains one.  A set only the fold defines
+        contains a resolving singleton, so ``best``'s candidates suffice."""
+        cands = [b for b in rec.single if b & pool & ~drop]
+        cands += [k for k in rec.keys if not k & ~pool]
+        if rec.projections and all(
+            not (m := pool & self.id_masks[i]) & (m - 1) for i in self.variants
+        ):
+            for ids in rec.projections:
+                parts = [pool & self.id_masks[i] for i in ids]
+                if all(parts):
+                    cands.append(sum(parts))
+        kept = []
+        for c in sorted(cands, key=int.bit_count):
+            if c & ~drop and all(k & ~c for k in kept):
+                if self.strength(rec, c) is not None:
+                    kept.append(c)
+        return kept
+
     def conflict_eliminable(self, mask: int) -> bool:
         """No instance of ``mask`` is defeated by ``mask``."""
         return not any(
@@ -493,20 +478,13 @@ def instantiated_closure(fw: Framework) -> frozenset:
     return frozenset(closure)
 
 
-def validate_axioms(
-    fw: Framework,
-    restricted: bool = False,
-    max_domain: int = 24,
-) -> ValidationReport:
+def validate_axioms(fw: Framework, max_domain: int = 24) -> ValidationReport:
     """Exhaustively check the structural axioms over the instantiated domain.
 
     The domain is the instantiated closure; attacker sets range over its
     identifier-unique subsets (duplicate-identifier sets never arise in the
-    semantics).  With ``restricted`` the two closure axioms and the three
-    monotonicity axioms are skipped, leaving coherence and the self-attack
-    ban, which is the regime used for the reduction to plain group-attack
-    frameworks.  Positivity holds by construction: ``StrengthModel`` rejects
-    a strength below 1.
+    semantics).  Positivity holds by construction: ``StrengthModel`` rejects a
+    strength below 1.
     """
     _check_limit(fw, max_domain)
     n = len(fw.arguments | fw.strengths.instances())  # the closure holds at least these
@@ -533,9 +511,6 @@ def validate_axioms(
         raise SizeLimitExceeded(
             f"closure has {len(domain)} instances (> {max_domain})"
         )
-
-    if restricted:
-        return ValidationReport(tuple(violations))
 
     resolved = _resolved(fw.strengths, domain)
 

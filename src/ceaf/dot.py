@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .core import Arg, Framework, _minimal_attack_sets
+from .core import Arg, Framework, _masks
 from . import semantics
 
 
@@ -26,36 +26,36 @@ def _label(a: Arg) -> str:
     return f"{a.id} ({a.capacity})"
 
 
-def minimal_attacks(fw: Framework, nodes: frozenset, strength_of) -> list:
+def minimal_attacks(
+    fw: Framework, nodes: frozenset, base: frozenset = frozenset()
+) -> list:
     """``(attackers, target, strength)`` for every minimal defined attack
-    among ``nodes``: singletons first, then groups, each by attackers then
-    target."""
-    edges = [
-        (attackers, target, strength_of(attackers, target))
-        for target in nodes
-        for attackers in _minimal_attack_sets(fw.strengths, nodes, strength_of, target)
-    ]
+    among ``nodes``, where attacks from inside ``base`` on a member of it do
+    not count: singletons first, then groups, each by attackers then target."""
+    masks = _masks(fw)
+    pool, drop = masks.mask(nodes), masks.mask(base)
+    edges = []
+    for target in nodes:
+        rec = masks.target(target)
+        for m in masks.minimal(rec, pool, drop if target in base else 0):
+            edges.append((masks.members(m), target, masks.strength(rec, m)))
     return sorted(edges, key=lambda e: (len(e[0]) > 1, sorted(e[0]), e[1]))
 
 
 def export_dot(fw: Framework, view_of: Optional[Iterable[Arg]] = None) -> str:
     """Render the whole framework, or the view of a conflict-eliminable set."""
     if view_of is None:
-        nodes = frozenset(fw.arguments)
-        strength_of = fw.strengths.strength
-        title = "framework"
+        nodes, base, title = frozenset(fw.arguments), frozenset(), "framework"
     else:
         vw = semantics.view(fw, frozenset(view_of))
-        nodes = vw.arguments
-        strength_of = vw.strength
-        title = "view"
+        nodes, base, title = vw.arguments, vw.base, "view"
 
     lines = [f"digraph {title} {{"]
     lines.append('  node [shape=ellipse];')
     for a in sorted(nodes):
         lines.append(f'  "{_node_name(a)}" [label="{_label(a)}"];')
     junction = 0
-    for attackers, target, strength in minimal_attacks(fw, nodes, strength_of):
+    for attackers, target, strength in minimal_attacks(fw, nodes, base):
         if len(attackers) == 1:
             (source,) = attackers
             lines.append(

@@ -26,6 +26,7 @@ from .core import (
 from . import semantics
 
 NPKind = Literal["conflict-free", "admissible", "preferred"]
+NP_KINDS = ("conflict-free", "admissible", "preferred")
 
 
 class NotAnAttack(Exception):
@@ -95,17 +96,16 @@ def np_semantics(
     np: NPFramework, kind: NPKind, limit: int = SIZE_LIMIT_DEFAULT
 ) -> list:
     """Exhaustively enumerate conflict-free / admissible / preferred sets."""
+    if kind not in NP_KINDS:
+        raise ValueError(f"unknown semantics kind {kind!r}")
     _check_limit(np, limit)
     subsets = list(_subsets(np.arguments, include_empty=True))
     if kind == "conflict-free":
         chosen = [s for s in subsets if np_conflict_free(np, s)]
-    elif kind == "admissible":
-        chosen = [s for s in subsets if np_admissible(np, s)]
-    elif kind == "preferred":
-        admissible = [s for s in subsets if np_admissible(np, s)]
-        chosen = [s for s in admissible if not any(s < t for t in admissible)]
     else:
-        raise ValueError(f"unknown semantics kind {kind!r}")
+        chosen = [s for s in subsets if np_admissible(np, s)]
+    if kind == "preferred":
+        chosen = [s for s in chosen if not any(s < t for t in chosen)]
     return sorted(chosen, key=lambda s: (len(s), sorted(s)))
 
 

@@ -568,10 +568,10 @@ THEOREM_IDS = tuple(sorted(_CHECKERS))
 
 def check_theorem(fw: Framework, theorem: str, name: str = "") -> TheoremReport:
     """Instantiate one structural result exhaustively on the framework."""
-    _guard(fw)
     theorem = theorem.upper()
     if theorem not in _CHECKERS:
         raise ValueError(f"unknown theorem id {theorem!r}")
+    _guard(fw)
     witness = _CHECKERS[theorem](fw)
     return TheoremReport(theorem, name, witness is None, witness)
 

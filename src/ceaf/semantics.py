@@ -25,11 +25,9 @@ from .core import (
     SIZE_LIMIT_DEFAULT,
     StrengthModel,
     _check_limit,
-    _definable,
     _fmt,
     _masks,
     _memoised,
-    _minimal_attack_sets,
 )
 
 
@@ -97,21 +95,18 @@ def view(fw: Framework, subset: Iterable[Arg]) -> View:
     """The view a conflict-eliminable coalition has of the framework."""
     alpha = intrinsic(fw, subset)
     args = (fw.arguments - subset) | alpha
-    diagnostics = []
     # Residual attacks from weakened intrinsic arguments back onto original
     # members survive the deletion of purely internal attacks; surface them.
-    reduced = alpha - subset
+    masks, diagnostics = _masks(fw), []
+    pool, base = masks.mask(alpha), masks.mask(subset)
     for target in sorted(subset):
-        cands = _definable(fw.strengths, alpha, target)
-        for cand in sorted(cands, key=lambda s: (len(s), sorted(s))):
-            if not cand & reduced or cand <= subset:
-                continue
-            if fw.strengths.strength(cand, target) is not None:
-                diagnostics.append(
-                    f"residual attack from intrinsic arguments {_fmt(cand)} "
-                    f"onto coalition member {target}"
-                )
-                break
+        found = masks.minimal(masks.target(target), pool, base)
+        if found:
+            cand = min(map(masks.members, found), key=lambda s: (len(s), sorted(s)))
+            diagnostics.append(
+                f"residual attack from intrinsic arguments {_fmt(cand)} "
+                f"onto coalition member {target}"
+            )
     return View(fw.strengths, subset, alpha, frozenset(args), tuple(diagnostics))
 
 
@@ -121,9 +116,9 @@ def _view_strongest(fw: Framework, subset: frozenset, target: Arg) -> int:
     when ``subset`` is not conflict-eliminable."""
     if not is_conflict_eliminable(fw, subset):
         return 0
-    masks, alpha = _masks(fw), view(fw, subset).alpha
+    masks = _masks(fw)
     drop = masks.mask(subset) if target in subset else 0
-    return masks.best(masks.target(target), masks.mask(alpha), drop)
+    return masks.best(masks.target(target), masks.mask(intrinsic(fw, subset)), drop)
 
 
 def c_attacks(fw: Framework, subset: Iterable[Arg], target: Arg) -> bool:
@@ -145,13 +140,13 @@ def _unanswered_attack(fw: Framework, subset: frozenset, answers) -> bool:
     """Some minimal attacking set on a member of the conflict-eliminable
     ``subset``, in its view, has no element ``x`` with ``answers(fw, subset,
     x)``."""
-    vw = view(fw, subset)
+    masks = _masks(fw)
+    pool = masks.mask((fw.arguments - subset) | intrinsic(fw, subset))
+    base = masks.mask(subset)
     return any(
-        not any(answers(fw, subset, x) for x in sorted(attack_set))
+        not any(answers(fw, subset, x) for x in sorted(masks.members(m)))
         for member in sorted(subset)
-        for attack_set in _minimal_attack_sets(
-            fw.strengths, vw.arguments, vw.strength, member
-        )
+        for m in masks.minimal(masks.target(member), pool, base)
     )
 
 

@@ -6,6 +6,7 @@ import pytest
 from ceaf import (
     Arg,
     Framework,
+    NPFramework,
     NotConflictEliminable,
     RandomModelSpec,
     StateRank,
@@ -20,6 +21,7 @@ from ceaf import (
     is_weakly_continuous,
     max_profitable,
     max_sets,
+    np_semantics,
     pref_supersets,
     profitable,
     state_leq,
@@ -228,6 +230,45 @@ def test_formability_candidates_are_permitted(ldp):
 def test_formability_rejects_bad_kind(ldp):
     with pytest.raises(ValueError):
         formability(ldp, "X", by_ids(ldp, "a1"))
+
+
+def test_unknown_fewer_basis_is_rejected(seven):
+    a2, both = by_ids(seven, "a2"), by_ids(seven, "a2", "a3")
+    for kind in FORMABILITY_KINDS:
+        with pytest.raises(ValueError, match="fewer basis 'bogus'"):
+            formability(seven, kind, a2, "bogus")
+    # growing {a2, a3} into {a2} is not profitable, so no criterion is read
+    with pytest.raises(ValueError, match="fewer basis 'bogus'"):
+        max_profitable(seven, both, a2, "bogus")
+    with pytest.raises(ValueError, match="fewer basis 'bogus'"):
+        crit_leq(seven, "f", a2, both, "bogus")
+
+
+def _defeated_pair():
+    x, y = Arg("x", 1), Arg("y", 1)
+    return Framework.build([x, y], {(frozenset({x}), y): 1}), frozenset({x, y})
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # {x, y} is not conflict-eliminable
+        lambda: crit_leq(*_defeated_pair(), frozenset(), "z"),
+        # nine arguments exceed the brute-force bound
+        lambda: oracle.check_theorem(
+            generate_random(RandomModelSpec(9, (1, 4), 0.25, "max", 1)), "bogus"
+        ),
+        # seventeen arguments exceed the enumeration bound
+        lambda: np_semantics(
+            NPFramework.build([f"x{i}" for i in range(17)], []), "bogus"
+        ),
+        lambda: formability(attack_free(17), "W", frozenset(), "bogus"),
+    ],
+    ids=["crit_leq", "check_theorem", "np_semantics", "formability"],
+)
+def test_argument_checks_come_before_the_work(call):
+    with pytest.raises(ValueError, match="unknown"):
+        call()
 
 
 def test_formability_attack_free():

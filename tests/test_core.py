@@ -370,8 +370,6 @@ def test_validate_axioms_flags_missing_union():
     )
     report = validate_axioms(fw)
     assert any(v.axiom == "closure by set union" for v in report.violations)
-    # the restricted regime drops the closure axioms
-    assert validate_axioms(fw, restricted=True).ok
 
 
 def test_instantiated_closure_contains_intrinsic_variants(ldp):

@@ -1,15 +1,18 @@
-"""The L1-L2 mask kernel against the frozenset form it replaced.
+"""The L1-L3 mask kernel against the frozenset form it replaced.
 
 ``max_attack_strength``, ``defeats``, ``is_conflict_eliminable``,
-``c_attacks`` and ``c_defeats`` all resolve through one per-framework mask
+``c_attacks``, ``c_defeats``, ``is_c_admissible`` and
+``is_one_directionally_attacked`` all resolve through one per-framework mask
 context (``core._Masks``).  The reference below is the frozenset form: the
 candidate subsets ``_resolving_candidates`` lists, each looked up with
 ``StrengthModel.strength`` or with a view's rule, and the best of them taken
-by ``_strongest``.
+by ``_strongest``; the minimal attacking sets ``_minimal_attack_sets`` finds
+among the same candidates.
 """
 
 import importlib
 import importlib.util
+import itertools
 import sys
 from collections import Counter
 
@@ -22,12 +25,47 @@ from ceaf import (
     StrengthModel,
     generate_random,
     instantiated_closure,
+    is_one_directionally_attacked,
     semantics,
 )
-from ceaf.core import _id_unique_subsets, _persist_projections, _subsets
+from ceaf.core import _id_unique_subsets, _subsets
 from conftest import ROOT, by_ids, load_fixture
 from test_coalition import DIFFERENTIAL_FRAMEWORKS, non_monotone_group_entry
 from test_core import strength_tables
+
+
+def _persist_projections(model, pool, target):
+    """Under persist, every listed entry on ``target`` whose identifiers are
+    distinct and all carried by the id-unique ``pool``, projected onto the
+    pool's instances of those identifiers."""
+    if model.variant_policy != "persist":
+        return
+    by_id = {a.id: a for a in pool}
+    if len(by_id) != len(pool):
+        return
+    for key in model._by_target.get(target, ()):
+        # ``by_id`` holds one instance per pool id, so the projection keeps
+        # all of ``key``'s members exactly when their ids are distinct and
+        # all in the pool
+        proj = frozenset(by_id.get(a.id) for a in key)
+        if len(proj) == len(key) and None not in proj:
+            yield proj
+
+
+def _minimal_attack_sets(model, pool, lookup, target):
+    """The minimal subsets of the id-unique ``pool`` to which ``lookup`` gives
+    a strength against ``target``, by size then members: the resolving
+    singletons, listed keys and persist projections, less those that contain
+    another."""
+    singletons = (frozenset((x,)) for x in pool)
+    found = {s for s in singletons if lookup(s, target) is not None}
+    listed = (k for k in model._by_target.get(target, ()) if k <= pool)
+    for cand in itertools.chain(listed, _persist_projections(model, pool, target)):
+        if any(f <= cand for f in found) or lookup(cand, target) is None:
+            continue
+        found = {f for f in found if not cand < f}
+        found.add(cand)
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
 def _resolving_candidates(model, attackers, target):
@@ -79,18 +117,46 @@ def ref_conflict_eliminable(fw, subset):
     return all(not ref_defeats(fw, subset, s) for s in subset)
 
 
-def ref_view_strongest(fw, subset, target):
+def ref_view(fw, subset):
     alpha = frozenset(
         s.with_capacity(s.capacity - ref_max_attack_strength(fw, subset, s))
         for s in subset
     )
+    args = (fw.arguments - subset) | alpha
+    return semantics.View(fw.strengths, subset, alpha, args)
 
-    def lookup(attackers, t):  # ``View.strength``
-        if t in subset and attackers <= subset:
-            return None
-        return fw.strengths.strength(attackers, t)
 
-    return _strongest(fw.strengths, lookup, alpha, target)
+def ref_view_strongest(fw, subset, target):
+    vw = ref_view(fw, subset)
+    return _strongest(fw.strengths, vw.strength, vw.alpha, target)
+
+
+def ref_unanswered_attack(fw, subset, answers):
+    """Some minimal attacking set on a member, in the view, has no element
+    ``x`` with ``answers(x)``."""
+    vw = ref_view(fw, subset)
+    return any(
+        not any(answers(x) for x in attack_set)
+        for member in subset
+        for attack_set in _minimal_attack_sets(
+            fw.strengths, vw.arguments, vw.strength, member
+        )
+    )
+
+
+def ref_c_admissible(fw, subset):
+    def defeated(x):
+        return 0 < ref_view_strongest(fw, subset, x) >= x.capacity
+
+    return ref_conflict_eliminable(fw, subset) and not ref_unanswered_attack(
+        fw, subset, defeated
+    )
+
+
+def ref_one_directionally_attacked(fw, subset):
+    return ref_unanswered_attack(
+        fw, subset, lambda x: ref_view_strongest(fw, subset, x) > 0
+    )
 
 
 def ref_conflict_eliminable_sets(fw):
@@ -146,6 +212,20 @@ def test_kernel_matches_reference(make):
             ), (subset, target)
 
 
+@pytest.mark.parametrize(
+    "make", DIFFERENTIAL_FRAMEWORKS.values(), ids=DIFFERENTIAL_FRAMEWORKS
+)
+def test_states_match_reference(make):
+    fw = make()
+    for subset in ref_conflict_eliminable_sets(fw):
+        assert semantics.is_c_admissible(fw, subset) == (
+            ref_c_admissible(fw, subset)
+        ), subset
+        assert is_one_directionally_attacked(fw, subset) == (
+            ref_one_directionally_attacked(fw, subset)
+        ), subset
+
+
 @pytest.mark.parametrize("policy", ["strict", "persist"])
 def test_kernel_keeps_the_non_monotone_witness(policy):
     # The listed {x0, x1, x4} -> x2 = 1 lies below the fold of {x1, x4};
@@ -174,6 +254,26 @@ def test_enumeration_resolves_each_mask_once(monkeypatch):
     family = semantics.enumerate_conflict_eliminable(fw)
     assert family  # the empty set at least
     assert calls <= 1000, calls
+
+
+def test_admissibility_builds_no_view(monkeypatch):
+    fw = generate_random(RandomModelSpec(12, (1, 4), 0.25, "sum", 1))
+    calls = Counter()
+    resolve, view = StrengthModel.strength, semantics.view
+
+    def counted(self, attackers, target):
+        calls["strength"] += 1
+        return resolve(self, attackers, target)
+
+    def counted_view(fw, subset):
+        calls["view"] += 1
+        return view(fw, subset)
+
+    monkeypatch.setattr(StrengthModel, "strength", counted)
+    monkeypatch.setattr(semantics, "view", counted_view)
+    assert semantics.enumerate_c_admissible(fw)  # the empty set at least
+    assert calls["view"] == 0
+    assert calls["strength"] <= 1000, calls
 
 
 def test_tracer_sees_the_layer_seams():

@@ -304,12 +304,12 @@ def test_dot_edges_are_the_minimal_defined_attacks(aggregator, policy, data):
         variants.setdefault(a.id, []).append(a)
     args = [data.draw(st.sampled_from(v)) for v in variants.values()]
     fw = Framework(frozenset(args), model)
-    views = [(fw.arguments, model.strength)]
+    views = [(fw.arguments, frozenset(), model.strength)]
     for s in _subsets(fw.arguments):
         if semantics.is_conflict_eliminable(fw, s):
             vw = semantics.view(fw, s)
-            views.append((vw.arguments, vw.strength))
-    for nodes, strength_of in views:
-        assert dot.minimal_attacks(fw, nodes, strength_of) == _probe_minimal_attacks(
+            views.append((vw.arguments, vw.base, vw.strength))
+    for nodes, base, strength_of in views:
+        assert dot.minimal_attacks(fw, nodes, base) == _probe_minimal_attacks(
             nodes, strength_of
         ), sorted(nodes)
