@@ -1,9 +1,11 @@
 """Release gate: brute-force / engineered equivalence over 200 random models.
 
 Compares every exported semantic operation against its brute-force reference
-on 200 seeded random frameworks plus every document in fixtures/.  Slow by
-design (run before a release, not in the regular test loop); prints one line
-per framework and a final verdict.
+on 200 seeded random frameworks plus every document in fixtures/, and runs the
+reduction check on 200 seeded defeat-only frameworks of 3-8 arguments, where
+each violation it reports counts as a diff.  Slow by design (run before a
+release, not in the regular test loop); prints one line per framework and a
+final verdict.
 """
 
 import sys
@@ -13,14 +15,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from ceaf import RandomModelSpec, generate_random, io_doc
+from ceaf import RandomModelSpec, check_reduction, generate_random, io_doc
 from ceaf import coalition, oracle, semantics
 from ceaf.core import _subsets
 
 
 def frameworks():
+    """(name, framework, the check to run on it)"""
     for path in sorted((ROOT / "fixtures").glob("*.json")):
-        yield path.stem, io_doc.load(path).framework
+        yield path.stem, io_doc.load(path).framework, check
     for seed in range(200):
         spec = RandomModelSpec(
             argument_count=3 + seed % 3,
@@ -29,7 +32,10 @@ def frameworks():
             aggregator="sum" if seed % 2 else "max",
             seed=seed,
         )
-        yield f"seed{seed}", generate_random(spec)
+        yield f"seed{seed}", generate_random(spec), check
+    for seed in range(200):
+        fw = oracle.generate_random_restricted(3 + seed % 6, 0.1 + seed % 5 * 0.1, seed)
+        yield f"reduction-seed{seed}", fw, check_reduction_violations
 
 
 def check(name, fw):
@@ -104,14 +110,18 @@ def check(name, fw):
     return problems
 
 
+def check_reduction_violations(name, fw):
+    return [("reduction", v.axiom, v.message) for v in check_reduction(fw).violations]
+
+
 def main():
     start = time.time()
     bad = 0
-    for name, fw in frameworks():
-        if len(fw.arguments) > 7:
+    for name, fw, checker in frameworks():
+        if len(fw.arguments) > 7 and checker is check:
             continue
         t0 = time.time()
-        problems = check(name, fw)
+        problems = checker(name, fw)
         status = "ok" if not problems else f"{len(problems)} DIFFS"
         print(f"{name}: {status} ({time.time() - t0:.1f}s)")
         if problems:

@@ -7,13 +7,15 @@ collapse onto the plain ones: conflict-eliminable sets are conflict-free,
 intrinsic arguments are the identity, coalition attacks coincide with plain
 attacks and with coalition defeats, and the coalition-admissible /
 coalition-preferred sets coincide with the admissible / preferred ones.
-``check_reduction`` verifies all five collapses by exhaustive enumeration.
+``check_reduction`` verifies all five collapses: it compares the
+conflict-eliminable family with the conflict-free one, and checks the other
+claims over the conflict-eliminable sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Literal
+from typing import Iterable, Literal
 
 from .core import (
     Framework,
@@ -21,7 +23,7 @@ from .core import (
     ValidationReport,
     Violation,
     _check_limit,
-    _subsets,
+    _fmt,
 )
 from . import semantics
 
@@ -70,43 +72,59 @@ def np_minimal(np: NPFramework, group: Iterable[str], target: str) -> bool:
     )
 
 
-def _minimal_attacks_on(np: NPFramework, target: str):
-    pairs = [a for (a, t) in np.group_attacks if t == target]
-    return [a for a in pairs if not any(b < a for b in pairs)]
+def _plain(np: NPFramework) -> tuple:
+    """The conflict-free and the admissible sets of ``np``, in ``_subsets``
+    order.  Each name is a bit, in sorted order, and each target keeps its
+    minimal attacker masks.  Conflict-freeness is downward closed, so every
+    conflict-free set grows from a smaller one by a name above its own; they
+    grow one size at a time, and a set is cut as soon as it holds an attack
+    together with its target."""
+    names = sorted(np.arguments)
+    bit = {n: 1 << i for i, n in enumerate(names)}
+    attacks = {}  # target bit -> attacker masks
+    for attackers, target in np.group_attacks:
+        attacks.setdefault(bit[target], []).append(sum(bit[a] for a in attackers))
+    minimal = {
+        t: [a for a in ms if not any(b != a and not b & ~a for b in ms)]
+        for t, ms in attacks.items()
+    }
+    conflicts = [a | t for t, ms in minimal.items() for a in ms]
+    by_bit = [[c for c in conflicts if c >> i & 1] for i in range(len(names))]
+    free, level = [0], [0]
+    while level:
+        level = [
+            s | 1 << i
+            for s in level
+            for i in range(s.bit_length(), len(names))
+            if all(c & ~(s | 1 << i) for c in by_bit[i])
+        ]
+        free += level
+    admissible = []
+    for s in free:
+        hit = sum(t for t, ms in minimal.items() if any(not a & ~s for a in ms))
+        if all(a & hit for t, ms in minimal.items() if t & s for a in ms):
+            admissible.append(s)
+    sets = lambda masks: [frozenset(n for n, b in bit.items() if m & b) for m in masks]
+    return sets(free), sets(admissible)
 
 
-def np_conflict_free(np: NPFramework, group: FrozenSet[str]) -> bool:
-    return not any(np_attacks(np, group, a) for a in group)
-
-
-def np_defends(np: NPFramework, group: FrozenSet[str], target: str) -> bool:
-    for attack in _minimal_attacks_on(np, target):
-        if not any(np_attacks(np, group, ax) for ax in attack):
-            return False
-    return True
-
-
-def np_admissible(np: NPFramework, group: FrozenSet[str]) -> bool:
-    return np_conflict_free(np, group) and all(
-        np_defends(np, group, a) for a in group
-    )
+def _maximal(family) -> list:
+    return [s for s in family if not any(s < t for t in family)]
 
 
 def np_semantics(
     np: NPFramework, kind: NPKind, limit: int = SIZE_LIMIT_DEFAULT
 ) -> list:
-    """Exhaustively enumerate conflict-free / admissible / preferred sets."""
+    """The conflict-free / admissible / preferred sets, in ``_subsets`` order."""
     if kind not in NP_KINDS:
         raise ValueError(f"unknown semantics kind {kind!r}")
     _check_limit(np, limit)
-    subsets = list(_subsets(np.arguments, include_empty=True))
+    free, admissible = _plain(np)
     if kind == "conflict-free":
-        chosen = [s for s in subsets if np_conflict_free(np, s)]
-    else:
-        chosen = [s for s in subsets if np_admissible(np, s)]
-    if kind == "preferred":
-        chosen = [s for s in chosen if not any(s < t for t in chosen)]
-    return sorted(chosen, key=lambda s: (len(s), sorted(s)))
+        return free
+    if kind == "admissible":
+        return admissible
+    return _maximal(admissible)
 
 
 def to_np(fw: Framework) -> NPFramework:
@@ -123,8 +141,12 @@ def to_np(fw: Framework) -> NPFramework:
 def check_reduction(fw: Framework, limit: int = SIZE_LIMIT_DEFAULT) -> ValidationReport:
     """Verify the five collapse claims on a defeat-only framework.
 
-    Requires the strength table to be in explicit-only mode and every defined
-    attack to defeat its target; otherwise ``PreconditionUnmet``.
+    Requires the strength table to be in explicit-only mode, every defined
+    attack to defeat its target, and every entry to name base arguments with
+    distinct identifiers, since ``to_np`` forgets capacities; otherwise
+    ``PreconditionUnmet``.  The conflict-eliminable and conflict-free families
+    are compared as identifier sets, and the other claims are checked over the
+    conflict-eliminable sets only.
     """
     if fw.strengths.aggregator != "explicit-only":
         raise PreconditionUnmet("reduction needs an explicit-only strength table")
@@ -133,42 +155,51 @@ def check_reduction(fw: Framework, limit: int = SIZE_LIMIT_DEFAULT) -> Validatio
             raise PreconditionUnmet(
                 f"attack on {target} with strength {v} does not defeat it"
             )
+    if len({a.id for a in fw.arguments}) < len(fw.arguments):
+        raise PreconditionUnmet("reduction needs distinct argument identifiers")
+    for attackers, target in fw.strengths._lookup:
+        if not attackers | {target} <= fw.arguments:
+            raise PreconditionUnmet(
+                f"attack on {target} from {_fmt(attackers)} names an instance "
+                "that is not a base argument"
+            )
 
     _check_limit(fw, limit)
 
-    np = to_np(fw)
     ids = lambda s: frozenset(a.id for a in s)
+    by_id = {a.id: a for a in fw.arguments}
+    ce = {ids(s): s for s in semantics._conflict_eliminable_sets(fw)}
+    free, admissible = _plain(to_np(fw))
+    free = set(free)
     violations = []
 
-    subsets = list(_subsets(fw.arguments, include_empty=True))
-    for s in subsets:
-        ce = semantics.is_conflict_eliminable(fw, s)
-        cf = np_conflict_free(np, ids(s))
-        if ce != cf:
+    for key in sorted(ce.keys() | free, key=lambda k: (len(k), sorted(k))):
+        s = ce[key] if key in ce else frozenset(by_id[n] for n in sorted(key))
+        if (key in ce) != (key in free):
             violations.append(
                 Violation(
                     "conflict-eliminable = conflict-free",
                     (s,),
-                    f"{sorted(ids(s))}: conflict-eliminable={ce} conflict-free={cf}",
+                    f"{sorted(key)}: conflict-eliminable={key in ce} "
+                    f"conflict-free={key in free}",
                 )
             )
-        if ce:
+        if key in ce:
             alpha = semantics.intrinsic(fw, s)
             if alpha != s:
                 violations.append(
                     Violation(
                         "intrinsic identity",
                         (s,),
-                        f"intrinsic arguments of {sorted(ids(s))} differ from it",
+                        f"intrinsic arguments of {sorted(key)} differ from it",
                     )
                 )
-            vw = semantics.view(fw, s)
-            if vw.arguments != fw.arguments:
+            if (fw.arguments - s) | alpha != fw.arguments:
                 violations.append(
                     Violation(
                         "view covers the framework",
                         (s,),
-                        f"view arguments of {sorted(ids(s))} differ from the framework",
+                        f"view arguments of {sorted(key)} differ from the framework",
                     )
                 )
             for t in sorted(fw.arguments):
@@ -180,7 +211,7 @@ def check_reduction(fw: Framework, limit: int = SIZE_LIMIT_DEFAULT) -> Validatio
                         Violation(
                             "c-attack = attack",
                             (s, t),
-                            f"{sorted(ids(s))} vs {t.id}: c-attack={ca} attack={at}",
+                            f"{sorted(key)} vs {t.id}: c-attack={ca} attack={at}",
                         )
                     )
                 if ca != cd:
@@ -188,34 +219,24 @@ def check_reduction(fw: Framework, limit: int = SIZE_LIMIT_DEFAULT) -> Validatio
                         Violation(
                             "c-attack = c-defeat",
                             (s, t),
-                            f"{sorted(ids(s))} vs {t.id}: c-attack={ca} c-defeat={cd}",
+                            f"{sorted(key)} vs {t.id}: c-attack={ca} c-defeat={cd}",
                         )
                     )
 
-    c_adm = {ids(s) for s in subsets if semantics.is_c_admissible(fw, s)}
-    adm = {s for s in _subsets(np.arguments, include_empty=True) if np_admissible(np, s)}
-    if c_adm != adm:
-        difference = sorted(
-            (sorted(d) for d in c_adm.symmetric_difference(adm)), key=str
-        )
-        violations.append(
-            Violation(
-                "c-admissible = admissible",
-                tuple(),
-                f"admissible families differ on {difference}",
+    c_adm = [ids(s) for s in semantics.enumerate_c_admissible(fw, limit)]
+    for claim, mine, plain in (
+        ("admissible", c_adm, admissible),
+        ("preferred", _maximal(c_adm), _maximal(admissible)),
+    ):
+        if set(mine) != set(plain):
+            difference = sorted(
+                (sorted(d) for d in set(mine).symmetric_difference(plain)), key=str
             )
-        )
-    c_pref = {ids(s) for s in semantics.enumerate_c_preferred(fw, limit)}
-    pref = set(np_semantics(np, "preferred", limit))
-    if c_pref != pref:
-        difference = sorted(
-            (sorted(d) for d in c_pref.symmetric_difference(pref)), key=str
-        )
-        violations.append(
-            Violation(
-                "c-preferred = preferred",
-                tuple(),
-                f"preferred families differ on {difference}",
+            violations.append(
+                Violation(
+                    f"c-{claim} = {claim}",
+                    tuple(),
+                    f"{claim} families differ on {difference}",
+                )
             )
-        )
     return ValidationReport(tuple(violations))

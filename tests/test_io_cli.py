@@ -383,6 +383,29 @@ def test_cli_check_reduction(capsys, tmp_path):
     assert "T1: pass" in out
 
 
+def test_cli_check_reduction_rejects_entries_off_the_base(capsys, tmp_path):
+    # to_np forgets capacities: the entry on x(1) would become a plain attack
+    # x -> y that the base argument x(2) cannot launch
+    path = tmp_path / "off-base.json"
+    path.write_text(
+        json.dumps(
+            {
+                "version": "1",
+                "aggregator": "explicit-only",
+                "arguments": [{"id": "x", "capacity": 2}, {"id": "y", "capacity": 1}],
+                "attacks": [{"from": [["x", 1]], "to": "y", "strength": 1}],
+            }
+        )
+    )
+    code, out, err = run_cli(capsys, "check", str(path), "--theorem", "T1")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: attack on y(1) from {x(1)} names an instance "
+        "that is not a base argument\n"
+    )
+
+
 def test_cli_export_dot_matches_golden(capsys):
     code, out, _ = run_cli(capsys, "export-dot", str(FIXDIR / "ldp.json"))
     assert code == 0
