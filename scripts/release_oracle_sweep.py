@@ -1,9 +1,11 @@
 """Release gate: brute-force / engineered equivalence over 200 random models.
 
 Compares every exported semantic operation against its brute-force reference
-on 200 seeded random frameworks plus every document in fixtures/, and runs the
-reduction check on 200 seeded defeat-only frameworks of 3-8 arguments, where
-each violation it reports counts as a diff.  Slow by design (run before a
+on 200 seeded random frameworks plus every document in fixtures/, runs the
+theorem checkers that hold on every axiom-valid framework on the 200 random
+ones, where each failing theorem counts as a diff, and runs the reduction
+check on 200 seeded defeat-only frameworks of 3-8 arguments, where each
+violation it reports counts as a diff.  Slow by design (run before a
 release, not in the regular test loop); prints one line per framework and a
 final verdict.
 """
@@ -15,9 +17,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from ceaf import RandomModelSpec, check_reduction, generate_random, io_doc
+from ceaf import (
+    RandomModelSpec,
+    check_reduction,
+    check_theorem,
+    generate_random,
+    io_doc,
+)
 from ceaf import coalition, oracle, semantics
 from ceaf.core import _subsets
+
+# as in tests/test_properties.py; the fixtures are left out, since `seven`
+# breaks P1 and P4 by design
+UNIVERSAL_THEOREMS = ("L1", "P1", "P2", "P4", "P5", "P6", "T2", "T3", "T10")
 
 
 def frameworks():
@@ -32,7 +44,7 @@ def frameworks():
             aggregator="sum" if seed % 2 else "max",
             seed=seed,
         )
-        yield f"seed{seed}", generate_random(spec), check
+        yield f"seed{seed}", generate_random(spec), check_with_theorems
     for seed in range(200):
         fw = oracle.generate_random_restricted(3 + seed % 6, 0.1 + seed % 5 * 0.1, seed)
         yield f"reduction-seed{seed}", fw, check_reduction_violations
@@ -107,6 +119,15 @@ def check(name, fw):
                     coalition.formability(fw, kind, s1).partners
                 ) != oracle.brute_formability(fw, kind, s1):
                     problems.append(("formability", kind, s1))
+    return problems
+
+
+def check_with_theorems(name, fw):
+    problems = check(name, fw)
+    for theorem in UNIVERSAL_THEOREMS:
+        report = check_theorem(fw, theorem, name)
+        if not report.verdict:
+            problems.append(("theorem", report.to_json()))
     return problems
 
 

@@ -186,7 +186,6 @@ def _dispatch(args) -> int:
             sets = semantics.enumerate_c_admissible(fw, args.limit)
         else:
             sets = semantics.enumerate_c_preferred(fw, args.limit)
-        sets = sorted(sets, key=lambda s: (len(s), sorted(s)))
         _emit(
             args,
             {"kind": args.kind, "sets": [_json_set(s) for s in sets]},

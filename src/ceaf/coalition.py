@@ -25,6 +25,7 @@ from .core import (
     SIZE_LIMIT_DEFAULT,
     _check_limit,
     _fmt,
+    _maximal,
     _memoised,
 )
 from .semantics import (
@@ -176,10 +177,7 @@ def _max_sets(fw: Framework, subset: frozenset) -> tuple:
         raise NotConflictEliminable(_fmt(subset))
     family = _conflict_eliminable_sets(fw)
     reachable = [t for t in family if subset <= t and _profitable_holds(fw, subset, t)]
-    maximal = [
-        t for t in reachable if not any(t < other for other in reachable)
-    ]
-    return tuple(sorted(maximal, key=lambda s: (len(s), sorted(s))))
+    return tuple(_maximal(reachable))
 
 
 def max_sets(
@@ -349,7 +347,8 @@ def formability(
         relation = lambda a, b: max_profitable(fw, a, b, fewer_basis, limit)
     combine = any if kind in ("W", "WS") else all
 
-    # every conflict-eliminable proper superset is a permitted union
+    # every conflict-eliminable proper superset is a permitted union; the
+    # partners come out in ``_subsets`` order, as the unions do
     partners = []
     for union in _conflict_eliminable_sets(fw):
         candidate = union - subset
@@ -357,4 +356,4 @@ def formability(
             (relation(subset, union), relation(candidate, union))
         ):
             partners.append(candidate)
-    return FormabilityResult(kind, subset, tuple(sorted(partners, key=lambda s: (len(s), sorted(s)))))
+    return FormabilityResult(kind, subset, tuple(partners))

@@ -253,6 +253,11 @@ def _subsets(items, include_empty=False):
             yield frozenset(combo)
 
 
+def _maximal(family) -> list:
+    """The sets of ``family`` inside no other member, in ``family``'s order."""
+    return [s for s in family if not any(s < t for t in family)]
+
+
 def _id_unique_subsets(instances, include_empty=False):
     """Subsets of a (possibly multi-capacity) instance pool with unique ids, in
     mixed-radix order: each id absent or one of its variants in sorted order,
@@ -421,14 +426,19 @@ class _Masks:
         for k in rec.keys:
             if not k & ~attackers and k & keep:
                 best = max(best, self.strength(rec, k) or 0)
-        if rec.projections and all(
-            not (m := attackers & self.id_masks[i]) & (m - 1) for i in self.variants
-        ):
-            for ids in rec.projections:
-                parts = [attackers & self.id_masks[i] for i in ids]
-                if all(parts) and sum(parts) & keep:
-                    best = max(best, self.strength(rec, sum(parts)) or 0)
+        if rec.projections:
+            for m in self._projected(rec, attackers):
+                if m & keep:
+                    best = max(best, self.strength(rec, m) or 0)
         return best
+
+    def _projected(self, rec: _Target, pool: int) -> list:
+        """The persist projections of ``rec``'s listed keys onto ``pool``,
+        none unless ``pool`` is id-unique."""
+        if any((m := pool & self.id_masks[i]) & (m - 1) for i in self.variants):
+            return []
+        parts = ([pool & self.id_masks[i] for i in ids] for ids in rec.projections)
+        return [sum(p) for p in parts if all(p)]
 
     def minimal(self, rec: _Target, pool: int, drop: int = 0) -> list:
         """The minimal subsets of the id-unique ``pool`` with a strength on
@@ -437,13 +447,8 @@ class _Masks:
         contains a resolving singleton, so ``best``'s candidates suffice."""
         cands = [b for b in rec.single if b & pool & ~drop]
         cands += [k for k in rec.keys if not k & ~pool]
-        if rec.projections and all(
-            not (m := pool & self.id_masks[i]) & (m - 1) for i in self.variants
-        ):
-            for ids in rec.projections:
-                parts = [pool & self.id_masks[i] for i in ids]
-                if all(parts):
-                    cands.append(sum(parts))
+        if rec.projections:
+            cands += self._projected(rec, pool)
         kept = []
         for c in sorted(cands, key=int.bit_count):
             if c & ~drop and all(k & ~c for k in kept):

@@ -24,6 +24,7 @@ from .core import (
     Violation,
     _check_limit,
     _fmt,
+    _maximal,
 )
 from . import semantics
 
@@ -106,10 +107,6 @@ def _plain(np: NPFramework) -> tuple:
             admissible.append(s)
     sets = lambda masks: [frozenset(n for n, b in bit.items() if m & b) for m in masks]
     return sets(free), sets(admissible)
-
-
-def _maximal(family) -> list:
-    return [s for s in family if not any(s < t for t in family)]
 
 
 def np_semantics(

@@ -313,14 +313,6 @@ def _encode_witness(witness):
     return out
 
 
-def _ce_subsets(fw):
-    return [
-        s
-        for s in _powerset(fw.arguments)
-        if semantics.is_conflict_eliminable(fw, s)
-    ]
-
-
 def _check_L1(fw: Framework):
     # defeats survive into supersets
     for s1 in _powerset(fw.arguments, include_empty=False):
@@ -352,7 +344,7 @@ def _check_P1(fw: Framework):
 
 def _check_P2(fw: Framework):
     # intrinsic capacities never go negative
-    for s in _ce_subsets(fw):
+    for s in semantics._conflict_eliminable_sets(fw):
         for a in semantics.intrinsic(fw, s):
             if a.capacity < 0:
                 return (s, a)
@@ -361,7 +353,7 @@ def _check_P2(fw: Framework):
 
 def _check_P4(fw: Framework):
     # intrinsic arguments are conflict-free inside the view
-    for s in _ce_subsets(fw):
+    for s in semantics._conflict_eliminable_sets(fw):
         vw = semantics.view(fw, s)
         for member in vw.alpha:
             for sub in _powerset(vw.alpha - {member}, include_empty=False):
@@ -373,7 +365,7 @@ def _check_P4(fw: Framework):
 def _check_P5(fw: Framework):
     # the framework-level and view-level formulations agree wherever both
     # apply, and coalition defeats imply coalition attacks
-    for s in _ce_subsets(fw):
+    for s in semantics._conflict_eliminable_sets(fw):
         vw = semantics.view(fw, s)
         verdicts = {}
         for t in sorted(fw.arguments | vw.arguments):
@@ -383,23 +375,28 @@ def _check_P5(fw: Framework):
             if cd and not ca:
                 return (s, t, "defeat without attack")
         for t in sorted(fw.arguments & vw.arguments):
-            if verdicts[t] != (
-                semantics.c_attacks(fw, s, t),
-                semantics.c_defeats(fw, s, t),
-            ):
+            defined = [
+                v
+                for sub in _powerset(vw.alpha, include_empty=False)
+                if (v := vw.strength(sub, t)) is not None
+            ]
+            if verdicts[t] != (bool(defined), any(v >= t.capacity for v in defined)):
                 return (s, t, "formulations disagree")
     return None
 
 
 def _check_P6(fw: Framework):
+    # the parts of a permitted coalition are conflict-eliminable; the
+    # permitted pairs with first part s1 are (s1, u - s1) for u >= s1 in the
+    # family
+    family = semantics._conflict_eliminable_sets(fw)
     for s1 in _powerset(fw.arguments):
-        for s2 in _powerset(fw.arguments):
-            if coalition.coalition_permitted(fw, s1, s2):
-                if not (
-                    semantics.is_conflict_eliminable(fw, s1)
-                    and semantics.is_conflict_eliminable(fw, s2)
-                ):
-                    return (s1, s2)
+        for u in family:
+            if s1 <= u and not (
+                semantics.is_conflict_eliminable(fw, s1)
+                and semantics.is_conflict_eliminable(fw, u - s1)
+            ):
+                return (s1, u - s1)
     return None
 
 
@@ -413,46 +410,39 @@ def _check_T1(fw: Framework):
 
 
 def _check_T2(fw: Framework):
-    for sx in _powerset(fw.arguments, include_empty=False):
+    # an admissible sx and a conflict-eliminable s1 < sx form a permitted,
+    # profitable coalition with sx - s1
+    family = semantics._conflict_eliminable_sets(fw)
+    for sx in family:
         if not semantics.is_c_admissible(fw, sx):
             continue
-        for s1 in _powerset(sx):
-            if s1 == sx or not semantics.is_conflict_eliminable(fw, s1):
+        for s1 in family:
+            if not s1 < sx:
                 continue
-            s2 = sx - s1
-            if not semantics.is_conflict_eliminable(fw, s2):
+            if not semantics.is_conflict_eliminable(fw, sx - s1):
                 return (sx, s1, "difference not conflict-eliminable")
-            if not coalition.coalition_permitted(fw, s1, s2):
-                return (sx, s1, "coalition not permitted")
             if not coalition.profitable(fw, s1, sx).holds:
                 return (sx, s1, "not profitable")
     return None
 
 
 def _check_T3(fw: Framework):
-    for s1 in _ce_subsets(fw):
-        for s2 in _powerset(fw.arguments - s1, include_empty=False):
-            union = s1 | s2
-            if not coalition.coalition_permitted(fw, s1, s2):
+    # a profitable admissible union u > s1 grows profitably into a preferred
+    # superset
+    family = semantics._conflict_eliminable_sets(fw)
+    preferred = semantics.enumerate_c_preferred(fw)
+    for s1 in family:
+        for u in family:
+            if not (
+                s1 < u
+                and semantics.is_c_admissible(fw, u)
+                and coalition.profitable(fw, s1, u).holds
+            ):
                 continue
-            if not semantics.is_c_admissible(fw, union):
-                continue
-            if not coalition.profitable(fw, s1, union).holds:
-                continue
-            witness = None
-            for s3 in _powerset(fw.arguments - s1, include_empty=False):
-                if not s2 <= s3:
-                    continue
-                u3 = s1 | s3
-                if (
-                    coalition.coalition_permitted(fw, s1, s3)
-                    and coalition.profitable(fw, s1, u3).holds
-                    and u3 in set(semantics.enumerate_c_preferred(fw))
-                ):
-                    witness = s3
-                    break
-            if witness is None:
-                return (s1, s2)
+            if not any(
+                u <= u3 and coalition.profitable(fw, s1, u3).holds for u3 in preferred
+            ):
+                return (s1, u - s1)
     return None
 
 
@@ -465,15 +455,16 @@ def theorem4_violations(fw: Framework):
     and ends with the clause: ``(base, sx, tag)`` for the profit clauses,
     ``(base, sx, sy, tag)`` for the maximality clauses."""
     _guard(fw)
-    for s1 in _ce_subsets(fw):
+    family = semantics._conflict_eliminable_sets(fw)
+    for s1 in family:
         for sx in coalition.pref_supersets(fw, s1):
             rest = sx - s1
             if not coalition.profitable(fw, s1, sx).holds:
                 yield (s1, sx, "base not profitable")
             if rest and not coalition.profitable(fw, rest, sx).holds:
                 yield (rest, sx, "complement not profitable")
-            for extra in _powerset(fw.arguments - sx, include_empty=False):
-                sy = sx | extra
+            # profit needs a conflict-eliminable result
+            for sy in (t for t in family if sx < t):
                 if coalition.profitable(fw, s1, sy).holds:
                     yield (s1, sx, sy, "base not maximal")
                 if rest and coalition.profitable(fw, rest, sy).holds:
@@ -485,22 +476,27 @@ def _check_T4(fw: Framework):
 
 
 def _check_T7(fw: Framework):
-    # somewhere profitability is one-sided
-    for s1 in _ce_subsets(fw):
+    # somewhere profitability is one-sided; profit needs a
+    # conflict-eliminable union
+    family = semantics._conflict_eliminable_sets(fw)
+    for s1 in family:
         if not s1:
             continue
-        for s2 in _powerset(fw.arguments - s1, include_empty=False):
-            union = s1 | s2
-            if coalition.profitable(fw, s1, union).holds and not coalition.profitable(
-                fw, s2, union
-            ).holds:
+        for union in family:
+            if (
+                s1 < union
+                and coalition.profitable(fw, s1, union).holds
+                and not coalition.profitable(fw, union - s1, union).holds
+            ):
                 return None
     return ("no one-sided profitable pair found",)
 
 
 def _check_T8(fw: Framework):
-    # somewhere a maximal profitable superset contains an unprofitable stage
-    for s1 in _ce_subsets(fw):
+    # somewhere a maximal profitable superset contains an unprofitable stage;
+    # a stage need not be conflict-eliminable, so stages range over the
+    # powerset of sx
+    for s1 in semantics._conflict_eliminable_sets(fw):
         if not s1:
             continue
         for sx in coalition.max_sets(fw, s1):
@@ -530,7 +526,7 @@ def _check_T9(fw: Framework):
 
 
 def _check_T10(fw: Framework):
-    for s1 in _ce_subsets(fw):
+    for s1 in semantics._conflict_eliminable_sets(fw):
         results = {
             kind: set(coalition.formability(fw, kind, s1).partners)
             for kind in ("W", "M", "WS", "S")

@@ -27,6 +27,7 @@ from .core import (
     _check_limit,
     _fmt,
     _masks,
+    _maximal,
     _memoised,
 )
 
@@ -150,11 +151,11 @@ def _unanswered_attack(fw: Framework, subset: frozenset, answers) -> bool:
     )
 
 
+@_memoised
 def is_c_admissible(fw: Framework, subset: Iterable[Arg]) -> bool:
     """The coalition defends every original member: each attacking set in its
     view contains an element the coalition defeats from its intrinsic
     arguments."""
-    subset = frozenset(subset)
     if not is_conflict_eliminable(fw, subset):
         return False
     return not _unanswered_attack(fw, subset, c_defeats)
@@ -183,11 +184,6 @@ def enumerate_c_admissible(fw: Framework, limit: int = SIZE_LIMIT_DEFAULT) -> li
 
 
 def enumerate_c_preferred(fw: Framework, limit: int = SIZE_LIMIT_DEFAULT) -> list:
-    """Subset-maximal coalition-admissible sets, by exhaustive enumeration."""
-    admissible = enumerate_c_admissible(fw, limit)
-    out = [
-        s
-        for s in admissible
-        if not any(s < other for other in admissible)
-    ]
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
+    """Subset-maximal coalition-admissible sets, by exhaustive enumeration,
+    in ``_subsets`` order."""
+    return _maximal(enumerate_c_admissible(fw, limit))

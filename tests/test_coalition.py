@@ -311,6 +311,7 @@ def test_views_hold_no_reference_back_to_their_framework():
         semantics.intrinsic,
         semantics.view,
         semantics.c_defeats,
+        semantics.is_c_admissible,
         is_one_directionally_attacked,
         state_rank,
         attackers,
@@ -445,7 +446,7 @@ class Powerset:
         return sorted(partners, key=lambda s: (len(s), sorted(s)))
 
 
-def non_monotone_group_entry():
+def non_monotone_group_entry(policy="strict"):
     """Sum aggregation with a listed group entry, {x0, x1, x4} -> x2 = 1,
     below the fold of its proper subset {x1, x4} (1 + 2 = 3).  While
     ``core._Masks.best`` does not try unlisted proper subsets of a listed
@@ -459,7 +460,7 @@ def non_monotone_group_entry():
         (frozenset([x4]), x2): 2,
         (frozenset([x0, x1, x4]), x2): 1,
     }
-    return Framework.build([x0, x1, x2, x4], entries, "sum", "strict")
+    return Framework.build([x0, x1, x2, x4], entries, "sum", policy)
 
 
 DIFFERENTIAL_FRAMEWORKS = {
