@@ -433,12 +433,20 @@ class _Masks:
         return best
 
     def _projected(self, rec: _Target, pool: int) -> list:
-        """The persist projections of ``rec``'s listed keys onto ``pool``,
-        none unless ``pool`` is id-unique."""
-        if any((m := pool & self.id_masks[i]) & (m - 1) for i in self.variants):
-            return []
-        parts = ([pool & self.id_masks[i] for i in ids] for ids in rec.projections)
-        return [sum(p) for p in parts if all(p)]
+        """``rec``'s persist projections onto ``pool``; none unless it is id-unique."""
+        id_masks, out = self.id_masks, []
+        for i in self.variants:
+            if (m := pool & id_masks[i]) & (m - 1):
+                return out
+        for ids in rec.projections:
+            m = 0
+            for i in ids:
+                if not (part := pool & id_masks[i]):
+                    break
+                m |= part
+            else:
+                out.append(m)
+        return out
 
     def minimal(self, rec: _Target, pool: int, drop: int = 0) -> list:
         """The minimal subsets of the id-unique ``pool`` with a strength on
@@ -447,8 +455,7 @@ class _Masks:
         contains a resolving singleton, so ``best``'s candidates suffice."""
         cands = [b for b in rec.single if b & pool & ~drop]
         cands += [k for k in rec.keys if not k & ~pool]
-        if rec.projections:
-            cands += self._projected(rec, pool)
+        cands += self._projected(rec, pool) if rec.projections else []
         kept = []
         for c in sorted(cands, key=int.bit_count):
             if c & ~drop and all(k & ~c for k in kept):
