@@ -250,15 +250,14 @@ def _dispatch(args) -> int:
         result = coalition.formability(
             fw, args.kind, base, args.fewer_basis, args.limit
         )
-        partners = result.sorted_partners()
         _emit(
             args,
             {
                 "kind": args.kind,
                 "base": _json_set(base),
-                "partners": [_json_set(p) for p in partners],
+                "partners": [_json_set(p) for p in result.partners],
             },
-            [_fmt(p) for p in partners],
+            [_fmt(p) for p in result.partners],
         )
         return EXIT_OK
 

@@ -319,9 +319,6 @@ class FormabilityResult:
     base: frozenset
     partners: tuple
 
-    def sorted_partners(self) -> list:
-        return sorted(self.partners, key=lambda s: (len(s), sorted(s)))
-
 
 def formability(
     fw: Framework,
@@ -348,7 +345,8 @@ def formability(
     combine = any if kind in ("W", "WS") else all
 
     # every conflict-eliminable proper superset is a permitted union; the
-    # partners come out in ``_subsets`` order, as the unions do
+    # partners come out in ``_subsets`` order, as the unions do, since two
+    # unions over one base differ exactly where their partners differ
     partners = []
     for union in _conflict_eliminable_sets(fw):
         candidate = union - subset

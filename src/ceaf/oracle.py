@@ -155,6 +155,26 @@ def brute_one_directional(fw: Framework, subset: Iterable[Arg]) -> bool:
     return False
 
 
+def _brute_rank(fw: Framework, s: frozenset) -> int:
+    if brute_c_admissible(fw, s):
+        return 2
+    if brute_one_directional(fw, s):
+        return 0
+    return 1
+
+
+def _brute_undefeated(fw: Framework, base: frozenset, candidate: frozenset) -> int:
+    total = 0
+    for s in fw.arguments:
+        if any(
+            fw.strengths.strength(frozenset((s,)), member) is not None
+            for member in base
+        ):
+            if s not in candidate and not brute_c_defeats(fw, candidate, s):
+                total += 1
+    return total
+
+
 def brute_profitable(fw: Framework, first, second) -> bool:
     first, second = frozenset(first), frozenset(second)
     if not first <= second:
@@ -164,29 +184,9 @@ def brute_profitable(fw: Framework, first, second) -> bool:
         and brute_conflict_eliminable(fw, second)
     ):
         return False
-
-    def rank(s):
-        if brute_c_admissible(fw, s):
-            return 2
-        if brute_one_directional(fw, s):
-            return 0
-        return 1
-
-    if rank(first) > rank(second):
+    if _brute_rank(fw, first) > _brute_rank(fw, second):
         return False
-
-    def count(candidate):
-        total = 0
-        for s in fw.arguments:
-            if any(
-                fw.strengths.strength(frozenset((s,)), member) is not None
-                for member in first
-            ):
-                if s not in candidate and not brute_c_defeats(fw, candidate, s):
-                    total += 1
-        return total
-
-    return count(first) >= count(second)
+    return _brute_undefeated(fw, first, first) >= _brute_undefeated(fw, first, second)
 
 
 def brute_max_sets(fw: Framework, subset) -> list:
@@ -209,32 +209,14 @@ def brute_max_profitable(
     if not brute_profitable(fw, first, second):
         return False
 
-    def count(base, candidate):
-        total = 0
-        for s in fw.arguments:
-            if any(
-                fw.strengths.strength(frozenset((s,)), member) is not None
-                for member in base
-            ):
-                if s not in candidate and not brute_c_defeats(fw, candidate, s):
-                    total += 1
-        return total
-
-    def rank(s):
-        if brute_c_admissible(fw, s):
-            return 2
-        if brute_one_directional(fw, s):
-            return 0
-        return 1
-
     def leq(beta, sx, sy):
         if beta == "l":
             return len(sx) <= len(sy)
         if beta == "b":
-            return rank(sx) <= rank(sy)
+            return _brute_rank(fw, sx) <= _brute_rank(fw, sy)
         if fewer_basis == "own":
-            return count(sy, sy) <= count(sx, sx)
-        return count(first, sy) <= count(first, sx)
+            return _brute_undefeated(fw, sy, sy) <= _brute_undefeated(fw, sx, sx)
+        return _brute_undefeated(fw, first, sy) <= _brute_undefeated(fw, first, sx)
 
     def less(beta, sx, sy):
         return leq(beta, sx, sy) and not leq(beta, sy, sx)
@@ -326,19 +308,18 @@ def _check_L1(fw: Framework):
 
 
 def _check_P1(fw: Framework):
-    # id-wise capacity raises keep strengths defined and non-decreasing
-    from .core import instantiated_closure, _id_unique_subsets, _raisings
+    # id-wise capacity raises keep strengths defined and non-decreasing; the
+    # resolved table holds every defined pair, targets in domain order and
+    # attacker sets in ``_id_unique_subsets`` order
+    from .core import instantiated_closure, _raisings, _resolved
 
     domain = sorted(instantiated_closure(fw))
-    for t in domain:
-        for s in _id_unique_subsets(domain):
-            v = fw.strengths.strength(s, t)
-            if v is None:
-                continue
-            for raised in _raisings(s, domain):
-                vr = fw.strengths.strength(raised, t)
-                if vr is None or vr < v:
-                    return (s, raised, t)
+    resolved = _resolved(fw.strengths, domain)
+    for (s, t), v in resolved.items():
+        for raised in _raisings(s, domain):
+            vr = resolved.get((raised, t))
+            if vr is None or vr < v:
+                return (s, raised, t)
     return None
 
 
@@ -456,8 +437,9 @@ def theorem4_violations(fw: Framework):
     ``(base, sx, sy, tag)`` for the maximality clauses."""
     _guard(fw)
     family = semantics._conflict_eliminable_sets(fw)
+    preferred = semantics.enumerate_c_preferred(fw)
     for s1 in family:
-        for sx in coalition.pref_supersets(fw, s1):
+        for sx in (p for p in preferred if s1 <= p):
             rest = sx - s1
             if not coalition.profitable(fw, s1, sx).holds:
                 yield (s1, sx, "base not profitable")

@@ -1,5 +1,5 @@
-"""The theorem checkers that walk the conflict-eliminable family against the
-powerset forms they replaced.
+"""The theorem checkers that read what the engine already answers, against
+the forms they replaced.
 
 P2, P4, P6, T2, T3, T4, T7 and T10 quantify over conflict-eliminable sets or
 permitted coalitions, whose union is conflict-eliminable, so ``oracle.py``
@@ -9,17 +9,30 @@ below is the powerset form: every subset probed with
 rest.  Walking the unions ``u >= s1`` in family order visits ``u - s1`` in
 the powerset order of the complement, so the first counterexample, and with
 it every report, is the same.
+
+P1 reads the closure's resolved strength table, whose pairs come in the
+order its reference probes every id-unique subset against every target.
 """
 
 import inspect
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ceaf import RandomModelSpec, check_theorem, generate_random
+from ceaf import (
+    Framework,
+    RandomModelSpec,
+    check_theorem,
+    generate_random,
+    instantiated_closure,
+    validate_axioms,
+)
 from ceaf import coalition, semantics
+from ceaf.core import _id_unique_subsets, _raisings
 from ceaf.oracle import TheoremReport, _powerset
 from conftest import FIXTURE_FILES, load_fixture
 from test_coalition import non_monotone_group_entry
+from test_core import strength_tables
 
 
 def _ce_subsets(fw):
@@ -28,6 +41,20 @@ def _ce_subsets(fw):
         for s in _powerset(fw.arguments)
         if semantics.is_conflict_eliminable(fw, s)
     ]
+
+
+def ref_P1(fw):
+    domain = sorted(instantiated_closure(fw))
+    for t in domain:
+        for s in _id_unique_subsets(domain):
+            v = fw.strengths.strength(s, t)
+            if v is None:
+                continue
+            for raised in _raisings(s, domain):
+                vr = fw.strengths.strength(raised, t)
+                if vr is None or vr < v:
+                    return (s, raised, t)
+    return None
 
 
 def ref_P2(fw):
@@ -155,6 +182,7 @@ def ref_T10(fw):
 
 
 REFERENCES = {
+    "P1": ref_P1,
     "P2": ref_P2,
     "P4": ref_P4,
     "P6": ref_P6,
@@ -206,6 +234,34 @@ def test_family_checkers_match_powerset_checkers(make):
         assert check_theorem(fw, theorem).to_json() == ref_report(
             reference, theorem
         ), theorem
+
+
+def _base_at_largest_capacity(model):
+    """A framework over ``model`` whose arguments are each identifier at the
+    largest capacity the table mentions."""
+    base = {a.id: a for a in sorted(model.instances())}
+    return Framework(frozenset(base.values()), model)
+
+
+@pytest.mark.parametrize("policy", ["strict", "persist"])
+@pytest.mark.parametrize("aggregator", ["max", "sum", "explicit-only"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_P1_matches_its_reference_and_validate_axioms(aggregator, policy, data):
+    # the tables carry reduced-capacity variants and group entries, which
+    # generate_random does not
+    model = data.draw(strength_tables(aggregator, policy))
+    fw = _base_at_largest_capacity(model)
+    report = check_theorem(fw, "P1")
+    assert report.to_json() == ref_report(_base_at_largest_capacity(model), "P1")
+    raises = [
+        v.witness
+        for v in validate_axioms(fw).violations
+        if v.axiom == "generalised monotonicity"
+    ]
+    assert report.verdict == (not raises)
+    if not report.verdict:
+        assert report.counterexample in raises
 
 
 def test_T3_reports_the_first_union_without_a_preferred_witness(monkeypatch):
