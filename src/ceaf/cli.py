@@ -10,18 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
-from . import coalition, dot, io_doc, npreduction, oracle, semantics
-from .core import (
-    Framework,
-    NotConflictEliminable,
-    SizeLimitExceeded,
-    SIZE_LIMIT_DEFAULT,
-    _check_limit,
-    _fmt,
-    validate_axioms,
-)
+# The engine modules are imported where a command needs them, so that
+# ``--help`` and usage errors load none of them.
+from . import FEWER_BASES, FORMABILITY_KINDS, NP_KINDS, SIZE_LIMIT_DEFAULT
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -42,7 +34,7 @@ def _json_set(instances) -> list:
     return [[a.id, a.capacity] for a in sorted(instances)]
 
 
-def _parse_ids(fw: Framework, raw: str) -> frozenset:
+def _parse_ids(fw, raw: str) -> frozenset:
     """Comma-separated ids, each at the framework's full capacity."""
     out = set()
     for name in filter(None, (part.strip() for part in raw.split(","))):
@@ -77,7 +69,7 @@ def build_parser() -> _Parser:
     )
     parser.add_argument(
         "--fewer-basis",
-        choices=list(coalition.FEWER_BASES),
+        choices=list(FEWER_BASES),
         default="own",
         help="attacker base used by the f criterion of maximal profitability",
     )
@@ -105,12 +97,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("formability", help="partner sets under one semantics")
     p.add_argument("file")
-    p.add_argument("--kind", required=True, choices=list(coalition.FORMABILITY_KINDS))
+    p.add_argument("--kind", required=True, choices=list(FORMABILITY_KINDS))
     p.add_argument("--set", required=True, dest="base")
 
     p = sub.add_parser("np", help="plain group-attack semantics")
     p.add_argument("file")
-    p.add_argument("--kind", required=True, choices=list(npreduction.NP_KINDS))
+    p.add_argument("--kind", required=True, choices=list(NP_KINDS))
 
     p = sub.add_parser("check", help="run a theorem checker")
     p.add_argument("file")
@@ -131,7 +123,12 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _framework(args) -> Framework:
+def _framework(args):
+    from dataclasses import replace
+
+    from . import io_doc
+    from .core import Framework
+
     fw = io_doc.load(args.file).framework
     if args.variant_policy and args.variant_policy != fw.strengths.variant_policy:
         fw = Framework(
@@ -143,13 +140,17 @@ def _framework(args) -> Framework:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    from . import io_doc
+    from .core import NotConflictEliminable, SizeLimitExceeded
+    from .npreduction import PreconditionUnmet
+
     try:
         return _dispatch(args)
     except (
         io_doc.ParseError,
         io_doc.ValidationError,
         NotConflictEliminable,
-        npreduction.PreconditionUnmet,
+        PreconditionUnmet,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -162,6 +163,9 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
+    from . import io_doc, npreduction, semantics
+    from .core import _check_limit, _fmt, validate_axioms
+
     if args.command == "validate":
         fw = _framework(args)
         _check_limit(fw, args.limit)
@@ -194,6 +198,8 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "view":
+        from . import dot
+
         fw = _framework(args)
         base = _parse_ids(fw, args.base)
         vw = semantics.view(fw, base)
@@ -228,6 +234,8 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "profit":
+        from . import coalition
+
         fw = _framework(args)
         s1 = _parse_ids(fw, args.s1)
         s2 = _parse_ids(fw, args.s2)
@@ -245,6 +253,8 @@ def _dispatch(args) -> int:
         return EXIT_OK if verdict.holds else EXIT_NO
 
     if args.command == "formability":
+        from . import coalition
+
         fw = _framework(args)
         base = _parse_ids(fw, args.base)
         result = coalition.formability(
@@ -273,6 +283,8 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "check":
+        from . import oracle
+
         theorem = args.theorem.upper()
         if theorem not in oracle.THEOREM_IDS:
             raise _UsageError(f"unknown theorem id {theorem!r}")
@@ -299,12 +311,16 @@ def _dispatch(args) -> int:
         return EXIT_OK if ok else EXIT_NO
 
     if args.command == "export-dot":
+        from . import dot
+
         fw = _framework(args)
         view_of = _parse_ids(fw, args.view_of) if args.view_of else None
         sys.stdout.write(dot.export_dot(fw, view_of))
         return EXIT_OK
 
     if args.command == "random":
+        from . import oracle
+
         if args.count < 0:
             raise _UsageError("--args must be at least 0")
         if not 0 <= args.density <= 1:  # NaN fails both comparisons

@@ -18,6 +18,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
+from . import FEWER_BASES, FORMABILITY_KINDS
 from .core import (
     Arg,
     Framework,
@@ -42,9 +43,6 @@ from .semantics import (
 Criterion = Literal["l", "b", "f"]
 FewerBasis = Literal["own", "shared"]
 FormabilityKind = Literal["W", "M", "WS", "S"]
-
-FORMABILITY_KINDS = ("W", "M", "WS", "S")
-FEWER_BASES = ("own", "shared")
 
 
 class StateRank(enum.IntEnum):

@@ -18,10 +18,10 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Literal, Mapping, Optional
 
+from . import SIZE_LIMIT_DEFAULT
+
 Aggregator = Literal["max", "sum", "explicit-only"]
 VariantPolicy = Literal["strict", "persist"]
-
-SIZE_LIMIT_DEFAULT = 16
 
 
 class SizeLimitExceeded(Exception):
@@ -413,12 +413,15 @@ class _Masks:
             v = rec.values[mask] = self.model.strength(self.members(mask), rec.target)
         return v
 
-    def best(self, rec: _Target, attackers: int, drop: int = 0) -> int:
+    def best(
+        self, rec: _Target, attackers: int, drop: int = 0, unique: Optional[bool] = None
+    ) -> int:
         """The largest strength of a subset of ``attackers`` on ``rec``'s
         target, 0 when none has one; subsets inside ``drop`` do not count.
         The candidates are the singleton-resolving core, its singletons, the
         listed keys inside ``attackers`` and, when ``attackers`` is id-unique,
-        the persist projections onto it."""
+        the persist projections onto it.  ``unique`` is that test's answer
+        when the caller has it."""
         best, keep, core = 0, ~drop, attackers & rec.resolving
         if core & keep:
             best = max(v for b, v in rec.single.items() if b & core & keep)
@@ -426,18 +429,23 @@ class _Masks:
         for k in rec.keys:
             if not k & ~attackers and k & keep:
                 best = max(best, self.strength(rec, k) or 0)
-        if rec.projections:
+        if rec.projections and (self.unique(attackers) if unique is None else unique):
             for m in self._projected(rec, attackers):
                 if m & keep:
                     best = max(best, self.strength(rec, m) or 0)
         return best
 
-    def _projected(self, rec: _Target, pool: int) -> list:
-        """``rec``'s persist projections onto ``pool``; none unless it is id-unique."""
-        id_masks, out = self.id_masks, []
+    def unique(self, pool: int) -> bool:
+        """No identifier has two instances in ``pool``."""
+        id_masks = self.id_masks
         for i in self.variants:
             if (m := pool & id_masks[i]) & (m - 1):
-                return out
+                return False
+        return True
+
+    def _projected(self, rec: _Target, pool: int) -> list:
+        """``rec``'s persist projections onto the id-unique ``pool``."""
+        id_masks, out = self.id_masks, []
         for ids in rec.projections:
             m = 0
             for i in ids:
@@ -455,7 +463,7 @@ class _Masks:
         contains a resolving singleton, so ``best``'s candidates suffice."""
         cands = [b for b in rec.single if b & pool & ~drop]
         cands += [k for k in rec.keys if not k & ~pool]
-        cands += self._projected(rec, pool) if rec.projections else []
+        cands += self._projected(rec, pool) if rec.projections and self.unique(pool) else []
         kept = []
         for c in sorted(cands, key=int.bit_count):
             if c & ~drop and all(k & ~c for k in kept):
@@ -464,9 +472,13 @@ class _Masks:
         return kept
 
     def conflict_eliminable(self, mask: int) -> bool:
-        """No instance of ``mask`` is defeated by ``mask``."""
+        """No instance of ``mask`` is defeated by ``mask``.  Under ``persist``
+        whether ``mask`` is id-unique is decided once, for every member; no
+        other policy has projections."""
+        unique = self.model.variant_policy != "persist" or self.unique(mask)
         return not any(
-            self.best(self.records[i] or self.record(i), mask) >= self.args[i].capacity
+            self.best(self.records[i] or self.record(i), mask, 0, unique)
+            >= self.args[i].capacity
             for i in range(mask.bit_length())
             if mask >> i & 1
         )

@@ -26,10 +26,9 @@ from .core import (
     _fmt,
     _maximal,
 )
-from . import semantics
+from . import NP_KINDS, semantics
 
 NPKind = Literal["conflict-free", "admissible", "preferred"]
-NP_KINDS = ("conflict-free", "admissible", "preferred")
 
 
 class NotAnAttack(Exception):

@@ -1,4 +1,7 @@
+import argparse
+import importlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from ceaf import Arg, dot, io_doc
-from ceaf.cli import main
+from ceaf.cli import build_parser, main
 from conftest import FIXTURE_FILES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -583,3 +586,138 @@ def test_cli_variant_policy_override(capsys):
     payload = json.loads(out)
     attacks = {(tuple(sorted(map(tuple, a["from"]))), tuple(a["to"])) for a in payload["attacks"]}
     assert ((("a3", 2),), ("a4", 1)) in attacks
+
+
+# ---------------------------------------------------------------------------
+# what a call loads
+
+
+def _python(*argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+
+
+# ``python -m ceaf.cli ARG...`` with the loaded ``ceaf`` modules written to
+# standard error at exit; the CLI runs as ``__main__``, so ``ceaf.cli`` is not
+# among them.
+_LOADED = (
+    "import atexit, json, runpy, sys\n"
+    "atexit.register(lambda: print(json.dumps(sorted(\n"
+    "    m for m in sys.modules if m == 'ceaf' or m.startswith('ceaf.'))), file=sys.stderr))\n"
+    "runpy.run_module('ceaf.cli', run_name='__main__', alter_sys=True)\n"
+)
+
+IMPORT_BUDGETS = [
+    (["--help"], {"ceaf"}, set()),  # exactly these
+    (["validate", "fixtures/ldp.json"], {"ceaf.io_doc"},
+     {"ceaf.coalition", "ceaf.oracle", "ceaf.dot"}),
+    (["semantics", "fixtures/ldp.json", "--kind", "c-preferred"], {"ceaf.semantics"},
+     {"ceaf.coalition", "ceaf.oracle", "ceaf.dot"}),
+    (["formability", "fixtures/seven.json", "--kind", "WS", "--set", "a2"],
+     {"ceaf.coalition"}, {"ceaf.oracle", "ceaf.dot"}),
+    (["np", "fixtures/ldp.json", "--kind", "preferred"], {"ceaf.npreduction"},
+     {"ceaf.coalition", "ceaf.oracle"}),
+    (["check", "fixtures/ldp.json", "--theorem", "L1"], {"ceaf.oracle"}, set()),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, loads, skips", IMPORT_BUDGETS, ids=[b[0][0] for b in IMPORT_BUDGETS]
+)
+def test_cli_imports_only_what_its_command_uses(argv, loads, skips):
+    result = _python("-c", _LOADED, *argv)
+    assert result.returncode in (0, 1), result.stderr
+    loaded = set(json.loads(result.stderr.splitlines()[-1]))
+    if argv == ["--help"]:
+        assert loaded == loads
+    assert loads <= loaded, loaded
+    assert not loaded & skips, loaded
+
+
+EXPORTED = [
+    "Arg", "FormabilityResult", "Framework", "NPFramework", "NotConflictEliminable",
+    "ProfitVerdict", "RandomModelSpec", "SizeLimitExceeded", "StateRank",
+    "StrengthModel", "TheoremReport", "ValidationReport", "View", "Violation",
+    "attackers", "attacks", "c_attacks", "c_defeats", "check_reduction",
+    "check_theorem", "coalition", "coalition_permitted", "core", "crit_leq",
+    "defeats", "enumerate_c_admissible", "enumerate_c_preferred",
+    "enumerate_conflict_eliminable", "formability", "generate_random",
+    "instantiated_closure", "intrinsic", "is_c_admissible", "is_conflict_eliminable",
+    "is_continuous", "is_one_directionally_attacked", "is_weakly_continuous",
+    "max_attack_strength", "max_profitable", "max_sets", "np_attacks", "np_minimal",
+    "np_semantics", "npreduction", "oracle", "pref_supersets", "profitable",
+    "semantics", "state_leq", "state_rank", "to_np", "undefeated_external",
+    "validate_axioms", "validate_coherent", "view",
+]
+
+
+def test_package_surface():
+    import ceaf
+
+    assert sorted(ceaf.__all__) == EXPORTED
+    for name in EXPORTED:
+        obj = getattr(ceaf, name)
+        if isinstance(obj, type(ceaf)):
+            assert obj is importlib.import_module(f"ceaf.{name}"), name
+        else:
+            assert obj.__module__.startswith("ceaf."), name
+            assert getattr(sys.modules[obj.__module__], name) is obj, name
+    namespace = {}
+    exec("from ceaf import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(EXPORTED)
+    with pytest.raises(AttributeError, match="'ceaf'"):
+        ceaf.no_such_name
+    assert "__all__" in dir(ceaf)
+    assert set(EXPORTED) <= set(dir(ceaf))
+
+
+def test_package_import_loads_no_submodule():
+    probe = "import sys, ceaf; print(sorted(m for m in sys.modules if 'ceaf' in m))"
+    result = _python("-c", probe)
+    assert result.stdout.split() == ["['ceaf']"], result.stderr
+
+
+def _action(parser, dest, command=None):
+    if command is not None:
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[command]
+    return next(a for a in parser._actions if a.dest == dest)
+
+
+def test_parser_vocabularies_match_the_library():
+    from ceaf import coalition, core, npreduction
+
+    parser = build_parser()
+    assert _action(parser, "fewer_basis").choices == list(coalition.FEWER_BASES)
+    assert _action(parser, "kind", "formability").choices == list(
+        coalition.FORMABILITY_KINDS
+    )
+    assert _action(parser, "kind", "np").choices == list(npreduction.NP_KINDS)
+    assert _action(parser, "limit").default == core.SIZE_LIMIT_DEFAULT
+
+
+def test_tracer_spans_the_cli_path():
+    # the order ``perfbench/child.py cli`` uses: the CLI is imported before
+    # the tracer is installed, and the engine loads after
+    probe = (
+        "import json, sys\n"
+        "from collections import Counter\n"
+        "import ceaf.cli\n"
+        "sys.path.insert(0, 'perfbench')\n"
+        "from spans import Tracer\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        "code = ceaf.cli.main(['formability', 'fixtures/seven.json', '--kind', 'WS', "
+        "'--set', 'a2'])\n"
+        "seen = Counter(tracer.names[k] for k in tracer.kind)\n"
+        "print(json.dumps([code, seen]))\n"
+    )
+    result = _python("-c", probe)
+    assert result.returncode == 0, result.stderr
+    code, seen = json.loads(result.stdout.splitlines()[-1])
+    assert code == 0
+    for name in ("coalition.formability", "semantics.c_defeats", "core.strength"):
+        assert seen.get(name, 0) > 0, name

@@ -15,6 +15,7 @@ import importlib.util
 import itertools
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +29,7 @@ from ceaf import (
     is_one_directionally_attacked,
     semantics,
 )
-from ceaf.core import _id_unique_subsets, _subsets
+from ceaf.core import _Masks, _id_unique_subsets, _masks, _subsets
 from conftest import ROOT, by_ids, load_fixture
 from test_coalition import DIFFERENTIAL_FRAMEWORKS, non_monotone_group_entry
 from test_core import strength_tables
@@ -254,6 +255,27 @@ def test_enumeration_resolves_each_mask_once(monkeypatch):
     family = semantics.enumerate_conflict_eliminable(fw)
     assert family  # the empty set at least
     assert calls <= 1000, calls
+
+
+def test_conflict_eliminability_tests_id_uniqueness_once_per_probe(monkeypatch):
+    # seven under persist has variant ids and persist projections on most
+    # targets, so each member's ``best`` needs the id-uniqueness of the probe
+    seven = load_fixture("seven")
+    fw = Framework(seven.arguments, replace(seven.strengths, variant_policy="persist"))
+    masks = _masks(fw)
+    passes = 0
+    unique = _Masks.unique
+
+    def counted(self, pool):
+        nonlocal passes
+        passes += 1
+        return unique(self, pool)
+
+    monkeypatch.setattr(_Masks, "unique", counted)
+    probes = range(1 << len(fw.arguments))  # the base arguments hold the low bits
+    answers = [masks.conflict_eliminable(m) for m in probes]
+    assert passes == len(probes)
+    assert answers == [ref_conflict_eliminable(fw, masks.members(m)) for m in probes]
 
 
 def test_admissibility_builds_no_view(monkeypatch):
