@@ -1,13 +1,16 @@
-"""Release gate: brute-force / engineered equivalence over 200 random models.
+"""Release gate: brute-force / engineered equivalence over 400 random models.
 
 Compares every exported semantic operation against its brute-force reference
-on 200 seeded random frameworks plus every document in fixtures/, runs the
-theorem checkers that hold on every axiom-valid framework on the 200 random
-ones, where each failing theorem counts as a diff, and runs the reduction
-check on 200 seeded defeat-only frameworks of 3-8 arguments, where each
-violation it reports counts as a diff.  Slow by design (run before a
-release, not in the regular test loop); prints one line per framework and a
-final verdict.
+on 200 seeded random frameworks, 200 seeded five-argument frameworks from
+``oracle.generate_group_entries`` (group entries that may lie below the fold
+of their subsets, under sum/max and strict/persist in turn) and every
+document in fixtures/.  It runs the theorem checkers that hold on every
+axiom-valid framework on the 200 random ones, and L1 and P5, which hold on
+every table, on the group-entry ones, where each failing theorem counts as a
+diff, and runs the reduction check on 200 seeded defeat-only frameworks of
+3-8 arguments, where each violation it reports counts as a diff.  Slow by
+design (run before a release, not in the regular test loop); prints one
+line per framework and a final verdict.
 """
 
 import sys
@@ -45,6 +48,10 @@ def frameworks():
             seed=seed,
         )
         yield f"seed{seed}", generate_random(spec), check_with_theorems
+    for seed in range(200):
+        aggregator, policy = ("sum", "max")[seed % 2], ("strict", "persist")[seed // 2 % 2]
+        fw = oracle.generate_group_entries(seed, aggregator, policy)
+        yield f"group-seed{seed}", fw, check_group_entries
     for seed in range(200):
         fw = oracle.generate_random_restricted(3 + seed % 6, 0.1 + seed % 5 * 0.1, seed)
         yield f"reduction-seed{seed}", fw, check_reduction_violations
@@ -122,13 +129,19 @@ def check(name, fw):
     return problems
 
 
-def check_with_theorems(name, fw):
+def check_with_theorems(name, fw, theorems=UNIVERSAL_THEOREMS):
     problems = check(name, fw)
-    for theorem in UNIVERSAL_THEOREMS:
+    for theorem in theorems:
         report = check_theorem(fw, theorem, name)
         if not report.verdict:
             problems.append(("theorem", report.to_json()))
     return problems
+
+
+def check_group_entries(name, fw):
+    # the tables need not be axiom-valid, so only the checkers that hold on
+    # every table apply
+    return check_with_theorems(name, fw, ("L1", "P5"))
 
 
 def check_reduction_violations(name, fw):

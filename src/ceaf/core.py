@@ -253,6 +253,17 @@ def _subsets(items, include_empty=False):
             yield frozenset(combo)
 
 
+def _grow(n: int, ok) -> list:
+    """Every mask over ``n`` bits the downward-closed ``ok`` accepts, in
+    ``_subsets`` order: sets grow one size at a time, each by a bit above its
+    highest, so every level stays in lexicographic index order."""
+    found, level = [0], [0]
+    while level:
+        level = [s | 1 << i for s in level for i in range(s.bit_length(), n) if ok(s | 1 << i)]
+        found += level
+    return found
+
+
 def _maximal(family) -> list:
     """The sets of ``family`` inside no other member, in ``family``'s order."""
     return [s for s in family if not any(s < t for t in family)]
@@ -420,8 +431,13 @@ class _Masks:
         target, 0 when none has one; subsets inside ``drop`` do not count.
         The candidates are the singleton-resolving core, its singletons, the
         listed keys inside ``attackers`` and, when ``attackers`` is id-unique,
-        the persist projections onto it.  ``unique`` is that test's answer
-        when the caller has it."""
+        the persist projections onto it.  Any other subset with a strength
+        is a fold over part of the core, under ``max`` never above a
+        singleton.  Under ``sum`` a fold grows with its set, so the
+        one-smaller subsets are tried, once each, only below a mask whose
+        fold is above ``best``, which holds the mask's own strength: a listed
+        or persist-defined mask below its fold.  ``unique`` is that test's
+        answer when the caller has it."""
         best, keep, core = 0, ~drop, attackers & rec.resolving
         if core & keep:
             best = max(v for b, v in rec.single.items() if b & core & keep)
@@ -433,6 +449,16 @@ class _Masks:
             for m in self._projected(rec, attackers):
                 if m & keep:
                     best = max(best, self.strength(rec, m) or 0)
+        if core & (core - 1) and core & keep and self.model.aggregator == "sum":
+            todo, seen = [core], {core}
+            while todo:
+                m = todo.pop()
+                if sum([v for b, v in rec.single.items() if b & m]) > best:
+                    for b in rec.single:
+                        if b & m and (sub := m & ~b) & keep and sub not in seen:
+                            seen.add(sub)
+                            best = max(best, self.strength(rec, sub) or 0)
+                            todo.append(sub)
         return best
 
     def unique(self, pool: int) -> bool:

@@ -24,6 +24,7 @@ from .core import (
     Violation,
     _check_limit,
     _fmt,
+    _grow,
     _maximal,
 )
 from . import NP_KINDS, semantics
@@ -75,10 +76,9 @@ def np_minimal(np: NPFramework, group: Iterable[str], target: str) -> bool:
 def _plain(np: NPFramework) -> tuple:
     """The conflict-free and the admissible sets of ``np``, in ``_subsets``
     order.  Each name is a bit, in sorted order, and each target keeps its
-    minimal attacker masks.  Conflict-freeness is downward closed, so every
-    conflict-free set grows from a smaller one by a name above its own; they
-    grow one size at a time, and a set is cut as soon as it holds an attack
-    together with its target."""
+    minimal attacker masks.  Conflict-freeness is downward closed, so the
+    conflict-free sets grow by ``_grow``; a set is cut as soon as its highest
+    name completes an attack together with its target."""
     names = sorted(np.arguments)
     bit = {n: 1 << i for i, n in enumerate(names)}
     attacks = {}  # target bit -> attacker masks
@@ -90,15 +90,7 @@ def _plain(np: NPFramework) -> tuple:
     }
     conflicts = [a | t for t, ms in minimal.items() for a in ms]
     by_bit = [[c for c in conflicts if c >> i & 1] for i in range(len(names))]
-    free, level = [0], [0]
-    while level:
-        level = [
-            s | 1 << i
-            for s in level
-            for i in range(s.bit_length(), len(names))
-            if all(c & ~(s | 1 << i) for c in by_bit[i])
-        ]
-        free += level
+    free = _grow(len(names), lambda s: all(c & ~s for c in by_bit[s.bit_length() - 1]))
     admissible = []
     for s in free:
         hit = sum(t for t, ms in minimal.items() if any(not a & ~s for a in ms))

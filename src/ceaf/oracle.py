@@ -599,6 +599,30 @@ def generate_random(spec: RandomModelSpec) -> Framework:
     )
 
 
+def generate_group_entries(
+    seed: int, aggregator: str = "sum", variant_policy: str = "strict"
+) -> Framework:
+    """Five arguments, capacities 1-3; per target, each other argument's
+    singleton entry with probability 1/2, then with probability 1/2 one group
+    entry over two or more of those (and 1/2 again a lowered-capacity variant
+    of it).  Strengths lie in [1, target capacity + 1], so a group entry may
+    lie below the fold of its own subsets."""
+    rng = random.Random(seed)
+    args = [Arg(f"x{i}", rng.randint(1, 3)) for i in range(5)]
+    entries = {}
+    for target in args:
+        singles = [a for a in args if a != target and rng.random() < 0.5]
+        keys = [frozenset((a,)) for a in singles]
+        if len(singles) > 1 and rng.random() < 0.5:
+            group = rng.sample(singles, rng.randint(2, len(singles)))
+            keys.append(frozenset(group))
+            if rng.random() < 0.5:
+                keys.append(frozenset(a.with_capacity(rng.randint(1, a.capacity)) for a in group))
+        for key in keys:
+            entries[(key, target)] = rng.randint(1, target.capacity + 1)
+    return Framework.build(args, entries, aggregator, variant_policy)
+
+
 def generate_random_restricted(
     argument_count: int, attack_density: float, seed: int
 ) -> Framework:

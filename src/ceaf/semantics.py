@@ -14,7 +14,6 @@ the original, full-capacity members.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -26,6 +25,7 @@ from .core import (
     StrengthModel,
     _check_limit,
     _fmt,
+    _grow,
     _masks,
     _maximal,
     _memoised,
@@ -164,11 +164,11 @@ def is_c_admissible(fw: Framework, subset: Iterable[Arg]) -> bool:
 @_memoised
 def _conflict_eliminable_sets(fw: Framework) -> tuple:
     """Every conflict-eliminable subset of the framework's arguments, in
-    ``_subsets`` order.  Callers check the size limit first."""
-    masks, n = _masks(fw), len(fw.arguments)
-    bits = [1 << i for i in range(n)]  # the sorted arguments, as in ``_subsets``
-    combos = (sum(c) for r in range(n + 1) for c in itertools.combinations(bits, r))
-    return tuple(masks.members(m) for m in combos if masks.conflict_eliminable(m))
+    ``_subsets`` order, grown by ``_grow``: for T ⊆ S the strongest attack on
+    a member of T from a subset of T is at most that from a subset of S, so
+    the family is downward closed.  Callers check the size limit first."""
+    masks = _masks(fw)  # the sorted arguments hold the low bits, as in ``_subsets``
+    return tuple(map(masks.members, _grow(len(fw.arguments), masks.conflict_eliminable)))
 
 
 def enumerate_conflict_eliminable(

@@ -318,11 +318,11 @@ def test_P5_compares_engine_answers_with_the_view(monkeypatch):
 @pytest.mark.parametrize("policy", ["strict", "persist"])
 def test_P5_reports_the_non_monotone_group_entry(policy):
     # The view's strengths give {x1, x4} the fold 1 + 2 = 3 on x2, which the
-    # engine's c_defeats misses: the same defect L1 reports.
-    report = check_theorem(non_monotone_group_entry(policy), "P5")
-    assert not report.verdict
-    assert report.to_json() == (
-        '{"counterexample": [[["x0", 1], ["x1", 1], ["x4", 3]], ["x2", 3], '
-        '"formulations disagree"], "framework": "", "theorem": "P5", '
-        '"verdict": "fail"}'
-    )
+    # engine's c_defeats now finds below the listed {x0, x1, x4} -> x2 = 1,
+    # so the two formulations agree and L1 holds as well.
+    fw = non_monotone_group_entry(policy)
+    for theorem in ("P5", "L1"):
+        assert check_theorem(fw, theorem).to_json() == (
+            f'{{"counterexample": null, "framework": "", "theorem": "{theorem}", '
+            '"verdict": "pass"}'
+        )

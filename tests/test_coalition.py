@@ -448,11 +448,11 @@ class Powerset:
 
 def non_monotone_group_entry(policy="strict"):
     """Sum aggregation with a listed group entry, {x0, x1, x4} -> x2 = 1,
-    below the fold of its proper subset {x1, x4} (1 + 2 = 3).  While
-    ``core._Masks.best`` does not try unlisted proper subsets of a listed
-    key, the engine's conflict-eliminable family here holds
-    {x0, x1, x2, x4} but not {x1, x2, x4}; the family walk filters the
-    family and must not assume it is closed under subsets."""
+    below the fold of its proper subset {x1, x4} (1 + 2 = 3).  The strongest
+    attack of {x0, x1, x4} on x2 is that fold, not the listed 1, so neither
+    {x0, x1, x2, x4} nor {x1, x2, x4} is conflict-eliminable; a kernel that
+    tried only the listed keys and the singleton-resolving core would answer
+    1 or 2 and keep the first set while dropping its subset."""
     x0, x1, x2, x4 = Arg("x0", 1), Arg("x1", 1), Arg("x2", 3), Arg("x4", 3)
     entries = {
         (frozenset([x0]), x2): 1,

@@ -1,13 +1,14 @@
-"""The L1-L3 mask kernel against the frozenset form it replaced.
+"""The L1-L3 mask kernel against the definitions, on frozensets.
 
 ``max_attack_strength``, ``defeats``, ``is_conflict_eliminable``,
 ``c_attacks``, ``c_defeats``, ``is_c_admissible`` and
 ``is_one_directionally_attacked`` all resolve through one per-framework mask
-context (``core._Masks``).  The reference below is the frozenset form: the
-candidate subsets ``_resolving_candidates`` lists, each looked up with
+context (``core._Masks``).  The reference below is the definition: every
+nonempty id-unique subset of the attackers looked up with
 ``StrengthModel.strength`` or with a view's rule, and the best of them taken
 by ``_strongest``; the minimal attacking sets ``_minimal_attack_sets`` finds
-among the same candidates.
+among the resolving singletons, listed keys and persist projections, since
+every attacking set contains one of those.
 """
 
 import importlib
@@ -30,6 +31,7 @@ from ceaf import (
     semantics,
 )
 from ceaf.core import _Masks, _id_unique_subsets, _masks, _subsets
+from ceaf.oracle import brute_conflict_eliminable, brute_vmax
 from conftest import ROOT, by_ids, load_fixture
 from test_coalition import DIFFERENTIAL_FRAMEWORKS, non_monotone_group_entry
 from test_core import strength_tables
@@ -69,42 +71,15 @@ def _minimal_attack_sets(model, pool, lookup, target):
     return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
-def _resolving_candidates(model, attackers, target):
-    """Subsets of ``attackers`` that can possibly resolve a strength: the
-    singleton-resolving core, its singletons, every listed entry key contained
-    in ``attackers``, and (under persist) id-matched projections of listed
-    entry signatures."""
-    ids = model._singleton_ids.get(target, ())
-    core = frozenset(
-        x for x in attackers if x.id in ids and model.strength({x}, target) is not None
-    )
-    if core:
-        yield core
-        for x in sorted(core):
-            yield frozenset((x,))
-    for key in model._by_target.get(target, ()):
-        if key and key <= attackers:
-            yield key
-    yield from _persist_projections(model, attackers, target)
-
-
-def _strongest(model, lookup, attackers, target):
-    """The maximum strength ``lookup`` gives a candidate subset of
+def _strongest(lookup, attackers, target):
+    """The maximum strength ``lookup`` gives a nonempty id-unique subset of
     ``attackers`` against ``target``; 0 when it gives none."""
-    best = 0
-    seen = set()
-    for cand in _resolving_candidates(model, attackers, target):
-        if cand in seen:
-            continue
-        seen.add(cand)
-        v = lookup(cand, target)
-        if v is not None and v > best:
-            best = v
-    return best
+    values = (lookup(s, target) for s in _id_unique_subsets(attackers))
+    return max((v for v in values if v is not None), default=0)
 
 
 def ref_max_attack_strength(fw, attackers, target):
-    return _strongest(fw.strengths, fw.strengths.strength, frozenset(attackers), target)
+    return _strongest(fw.strengths.strength, frozenset(attackers), target)
 
 
 def ref_defeats(fw, attackers, target):
@@ -129,7 +104,7 @@ def ref_view(fw, subset):
 
 def ref_view_strongest(fw, subset, target):
     vw = ref_view(fw, subset)
-    return _strongest(fw.strengths, vw.strength, vw.alpha, target)
+    return _strongest(vw.strength, vw.alpha, target)
 
 
 def ref_unanswered_attack(fw, subset, answers):
@@ -229,16 +204,19 @@ def test_states_match_reference(make):
 
 @pytest.mark.parametrize("policy", ["strict", "persist"])
 def test_kernel_keeps_the_non_monotone_witness(policy):
-    # The listed {x0, x1, x4} -> x2 = 1 lies below the fold of {x1, x4};
-    # the kernel tries the same candidates as before, so it still answers 2.
-    witness = non_monotone_group_entry()
-    fw = Framework(witness.arguments, StrengthModel(
-        witness.strengths.entries_items, "sum", policy
-    ))
+    # The listed {x0, x1, x4} -> x2 = 1 lies below the fold of its subsets
+    # {x0, x4} and {x1, x4}, 1 + 2 = 3; the strongest subset attack is that
+    # fold, so x4 with x0 or x1 defeats x2 and the family is downward closed.
+    fw = non_monotone_group_entry(policy)
     x0, x1, x2, x4 = (fw.by_id(n) for n in ("x0", "x1", "x2", "x4"))
-    assert semantics.max_attack_strength(fw, {x0, x1, x4}, x2) == 2
-    assert semantics.is_conflict_eliminable(fw, {x0, x1, x2, x4})
+    assert semantics.max_attack_strength(fw, {x0, x1, x4}, x2) == 3
+    assert brute_vmax(fw, {x0, x1, x4}, x2) == 3
+    assert not semantics.is_conflict_eliminable(fw, {x0, x1, x2, x4})
     assert not semantics.is_conflict_eliminable(fw, {x1, x2, x4})
+    subsets = list(_subsets(fw.arguments, include_empty=True))
+    family = semantics._conflict_eliminable_sets(fw)
+    assert family == tuple(s for s in subsets if not ({x2, x4} <= s and s & {x0, x1}))
+    assert family == tuple(s for s in subsets if brute_conflict_eliminable(fw, s))
 
 
 def test_enumeration_resolves_each_mask_once(monkeypatch):
@@ -255,6 +233,27 @@ def test_enumeration_resolves_each_mask_once(monkeypatch):
     family = semantics.enumerate_conflict_eliminable(fw)
     assert family  # the empty set at least
     assert calls <= 1000, calls
+
+
+def test_family_grows_instead_of_probing_the_powerset(monkeypatch):
+    # Each conflict-eliminable set is probed once for every bit above its
+    # highest: 592 probes for 384 sets, where the powerset filter made 4,096.
+    fw = generate_random(RandomModelSpec(12, (1, 4), 0.25, "sum", 1))
+    masks, n, probes = _masks(fw), len(fw.arguments), 0
+    probe = _Masks.conflict_eliminable
+
+    def counted(self, mask):
+        nonlocal probes
+        probes += 1
+        return probe(self, mask)
+
+    monkeypatch.setattr(_Masks, "conflict_eliminable", counted)
+    family = semantics.enumerate_conflict_eliminable(fw)
+    grown = sum(n - masks.mask(s).bit_length() for s in family)
+    assert probes == grown <= len(family) * n
+    monkeypatch.undo()
+    subsets = _subsets(fw.arguments, include_empty=True)
+    assert family == [s for s in subsets if masks.conflict_eliminable(masks.mask(s))]
 
 
 def test_conflict_eliminability_tests_id_uniqueness_once_per_probe(monkeypatch):

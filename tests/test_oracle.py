@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ceaf import Arg, RandomModelSpec, check_theorem, generate_random, validate_axioms
 from ceaf import coalition, oracle, semantics
@@ -172,6 +173,44 @@ def test_max_profitable_matches_brute_force(request, random_models):
                     assert coalition.max_profitable(fw, s1, s2) == (
                         oracle.brute_max_profitable(fw, s1, s2)
                     )
+
+
+@pytest.mark.parametrize("policy", ["strict", "persist"])
+@pytest.mark.parametrize("aggregator", ["max", "sum"])
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_group_entries_match_brute_force(aggregator, policy, seed):
+    # group entries below the fold of one of their subsets, which a kernel
+    # trying only the listed keys and the singleton-resolving core misses
+    fw = oracle.generate_group_entries(seed, aggregator, policy)
+    args = sorted(fw.arguments)
+    family = semantics._conflict_eliminable_sets(fw)
+    for subset in _subsets(fw.arguments, include_empty=True):
+        for target in args:
+            assert semantics.max_attack_strength(fw, subset, target) == (
+                oracle.brute_vmax(fw, subset, target)
+            ), (subset, target)
+        ce = semantics.is_conflict_eliminable(fw, subset)
+        assert ce == oracle.brute_conflict_eliminable(fw, subset) == (subset in family)
+        assert semantics.is_c_admissible(fw, subset) == (
+            oracle.brute_c_admissible(fw, subset)
+        ), subset
+        if ce:
+            assert all(sub in family for sub in _subsets(subset))
+            assert semantics.intrinsic(fw, subset) == oracle.brute_alpha(fw, subset)
+            for target in args:
+                assert semantics.c_defeats(fw, subset, target) == (
+                    oracle.brute_c_defeats(fw, subset, target)
+                ), (subset, target)
+    for theorem in ("L1", "P5"):
+        report = check_theorem(fw, theorem)
+        assert report.verdict, report.to_json()
+
+
+def test_generate_group_entries_deterministic():
+    fw = oracle.generate_group_entries(3)
+    assert fw == oracle.generate_group_entries(3) != oracle.generate_group_entries(4)
+    assert any(len(k) > 1 for (k, _), _ in fw.strengths.entries_items)
 
 
 def test_generate_random_deterministic():
