@@ -7,10 +7,12 @@ of their subsets, under sum/max and strict/persist in turn) and every
 document in fixtures/.  It runs the theorem checkers that hold on every
 axiom-valid framework on the 200 random ones, and L1 and P5, which hold on
 every table, on the group-entry ones, where each failing theorem counts as a
-diff, and runs the reduction check on 200 seeded defeat-only frameworks of
-3-8 arguments, where each violation it reports counts as a diff.  Slow by
-design (run before a release, not in the regular test loop); prints one
-line per framework and a final verdict.
+diff; on those it also compares attack strength and attack on every attacker
+set drawn from the instances the table names, two instances of one
+identifier included.  It runs the reduction check on 200 seeded defeat-only
+frameworks of 3-8 arguments, where each violation it reports counts as a
+diff.  Slow by design (run before a release, not in the regular test loop);
+prints one line per framework and a final verdict.
 """
 
 import sys
@@ -141,7 +143,19 @@ def check_with_theorems(name, fw, theorems=UNIVERSAL_THEOREMS):
 def check_group_entries(name, fw):
     # the tables need not be axiom-valid, so only the checkers that hold on
     # every table apply
-    return check_with_theorems(name, fw, ("L1", "P5"))
+    problems = check_with_theorems(name, fw, ("L1", "P5"))
+    instances = fw.arguments | fw.strengths.instances()
+    for attackers in _subsets(instances):
+        for target in sorted(instances):
+            if semantics.max_attack_strength(
+                fw, attackers, target
+            ) != oracle.brute_vmax(fw, attackers, target):
+                problems.append(("instance vmax", attackers, target))
+            if semantics.attacks(fw, attackers, target) != oracle.brute_attacks(
+                fw, attackers, target
+            ):
+                problems.append(("instance attacks", attackers, target))
+    return problems
 
 
 def check_reduction_violations(name, fw):

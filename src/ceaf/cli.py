@@ -273,7 +273,7 @@ def _dispatch(args) -> int:
 
     if args.command == "np":
         doc = io_doc.load(args.file)
-        np = doc.np if doc.np is not None else npreduction.to_np(doc.framework)
+        np = npreduction.to_np(doc.framework)
         sets = npreduction.np_semantics(np, args.kind, args.limit)
         _emit(
             args,

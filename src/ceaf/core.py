@@ -366,7 +366,7 @@ class _Masks:
 
     def __init__(self, model: StrengthModel, arguments):
         self.model, self.args, self.records = model, [], []
-        self.bits, self.id_masks, self.variants = {}, {}, set()
+        self.bits, self.id_masks = {}, {}
         for a in sorted(arguments):
             self.bit(a)
 
@@ -376,8 +376,6 @@ class _Masks:
             b = self.bits[a] = 1 << len(self.args)
             self.args.append(a)
             self.records.append(None)
-            if a.id in self.id_masks:
-                self.variants.add(a.id)
             self.id_masks[a.id] = self.id_masks.get(a.id, 0) | b
             for rec in self.records:
                 if rec is not None:
@@ -424,20 +422,16 @@ class _Masks:
             v = rec.values[mask] = self.model.strength(self.members(mask), rec.target)
         return v
 
-    def best(
-        self, rec: _Target, attackers: int, drop: int = 0, unique: Optional[bool] = None
-    ) -> int:
+    def best(self, rec: _Target, attackers: int, drop: int = 0) -> int:
         """The largest strength of a subset of ``attackers`` on ``rec``'s
         target, 0 when none has one; subsets inside ``drop`` do not count.
         The candidates are the singleton-resolving core, its singletons, the
-        listed keys inside ``attackers`` and, when ``attackers`` is id-unique,
-        the persist projections onto it.  Any other subset with a strength
-        is a fold over part of the core, under ``max`` never above a
-        singleton.  Under ``sum`` a fold grows with its set, so the
-        one-smaller subsets are tried, once each, only below a mask whose
-        fold is above ``best``, which holds the mask's own strength: a listed
-        or persist-defined mask below its fold.  ``unique`` is that test's
-        answer when the caller has it."""
+        listed keys inside ``attackers`` and the persist projections onto it.
+        Any other subset with a strength is a fold over part of the core,
+        under ``max`` never above a singleton.  Under ``sum`` a fold grows
+        with its set, so the one-smaller subsets are tried, once each, only
+        below a mask whose fold is above ``best``, which holds the mask's own
+        strength: a listed or persist-defined mask below its fold."""
         best, keep, core = 0, ~drop, attackers & rec.resolving
         if core & keep:
             best = max(v for b, v in rec.single.items() if b & core & keep)
@@ -445,10 +439,9 @@ class _Masks:
         for k in rec.keys:
             if not k & ~attackers and k & keep:
                 best = max(best, self.strength(rec, k) or 0)
-        if rec.projections and (self.unique(attackers) if unique is None else unique):
-            for m in self._projected(rec, attackers):
-                if m & keep:
-                    best = max(best, self.strength(rec, m) or 0)
+        for m in self._projected(rec, attackers) if rec.projections else ():
+            if m & keep:
+                best = max(best, self.strength(rec, m) or 0)
         if core & (core - 1) and core & keep and self.model.aggregator == "sum":
             todo, seen = [core], {core}
             while todo:
@@ -461,16 +454,12 @@ class _Masks:
                             todo.append(sub)
         return best
 
-    def unique(self, pool: int) -> bool:
-        """No identifier has two instances in ``pool``."""
-        id_masks = self.id_masks
-        for i in self.variants:
-            if (m := pool & id_masks[i]) & (m - 1):
-                return False
-        return True
-
     def _projected(self, rec: _Target, pool: int) -> list:
-        """``rec``'s persist projections onto the id-unique ``pool``."""
+        """``rec``'s persist projections onto ``pool``: each listed key whose
+        identifiers are distinct and all in ``pool``, mapped to one instance
+        per identifier in every combination.  Every persist-defined subset of
+        ``pool`` is one of them; a pool with one instance per identifier has
+        one per key, the union of its parts."""
         id_masks, out = self.id_masks, []
         for ids in rec.projections:
             m = 0
@@ -479,17 +468,25 @@ class _Masks:
                     break
                 m |= part
             else:
-                out.append(m)
+                if m.bit_count() == len(ids):
+                    out.append(m)
+                else:  # some identifier has two instances in ``pool``
+                    ms = [0]
+                    for i in ids:
+                        part = pool & id_masks[i]
+                        bits = [1 << j for j in range(part.bit_length()) if part >> j & 1]
+                        ms = [x | b for x in ms for b in bits]
+                    out += ms
         return out
 
     def minimal(self, rec: _Target, pool: int, drop: int = 0) -> list:
-        """The minimal subsets of the id-unique ``pool`` with a strength on
-        ``rec``'s target, smallest first; subsets inside ``drop`` do not count.
-        Every larger attacking set contains one.  A set only the fold defines
+        """The minimal subsets of ``pool`` with a strength on ``rec``'s
+        target, smallest first; subsets inside ``drop`` do not count.  Every
+        larger attacking set contains one.  A set only the fold defines
         contains a resolving singleton, so ``best``'s candidates suffice."""
         cands = [b for b in rec.single if b & pool & ~drop]
         cands += [k for k in rec.keys if not k & ~pool]
-        cands += self._projected(rec, pool) if rec.projections and self.unique(pool) else []
+        cands += self._projected(rec, pool)
         kept = []
         for c in sorted(cands, key=int.bit_count):
             if c & ~drop and all(k & ~c for k in kept):
@@ -498,13 +495,9 @@ class _Masks:
         return kept
 
     def conflict_eliminable(self, mask: int) -> bool:
-        """No instance of ``mask`` is defeated by ``mask``.  Under ``persist``
-        whether ``mask`` is id-unique is decided once, for every member; no
-        other policy has projections."""
-        unique = self.model.variant_policy != "persist" or self.unique(mask)
+        """No instance of ``mask`` is defeated by ``mask``."""
         return not any(
-            self.best(self.records[i] or self.record(i), mask, 0, unique)
-            >= self.args[i].capacity
+            self.best(self.records[i] or self.record(i), mask) >= self.args[i].capacity
             for i in range(mask.bit_length())
             if mask >> i & 1
         )
@@ -592,10 +585,7 @@ def validate_axioms(fw: Framework, max_domain: int = 24) -> ValidationReport:
             for b in domain:
                 if b.id != a.id or b.capacity <= a.capacity:
                     continue
-                raised = (s - {a}) | {b}
-                if not _ids_unique(raised):
-                    continue
-                vr = resolved.get((frozenset(raised), t))
+                vr = resolved.get(((s - {a}) | {b}, t))
                 if vr is None:
                     violations.append(
                         Violation(
@@ -670,41 +660,41 @@ def validate_axioms(fw: Framework, max_domain: int = 24) -> ValidationReport:
                     )
 
     # generalised source monotonicity: raising capacities id-wise
-    for (s, t), v in sorted(resolved.items()):
-        for raised in _raisings(s, domain):
-            if raised == s:
-                continue
-            vr = resolved.get((raised, t))
-            if vr is None:
-                violations.append(
-                    Violation(
-                        "generalised monotonicity",
-                        (s, raised, t),
-                        f"id-wise raise of {_fmt(s)} to {_fmt(raised)} vs {t} "
-                        "is undefined",
-                    )
-                )
-            elif vr < v:
-                violations.append(
-                    Violation(
-                        "generalised monotonicity",
-                        (s, raised, t),
-                        f"id-wise raise of {_fmt(s)} drops strength {v} -> {vr}",
-                    )
-                )
+    pairs = sorted(resolved.items())
+    for s, raised, t, v, vr in _raise_failures(pairs, resolved, domain):
+        violations.append(
+            Violation(
+                "generalised monotonicity",
+                (s, raised, t),
+                f"id-wise raise of {_fmt(s)} to {_fmt(raised)} vs {t} is undefined"
+                if vr is None
+                else f"id-wise raise of {_fmt(s)} drops strength {v} -> {vr}",
+            )
+        )
 
     return ValidationReport(tuple(dict.fromkeys(violations)))
 
 
 def _raisings(s: frozenset, domain) -> Iterable[frozenset]:
-    """All id-wise capacity raisings of ``s`` within the domain."""
+    """All id-wise capacity raisings of ``s``, which has one instance per
+    identifier, within the domain; ``s`` itself among them."""
     choices = []
     for a in sorted(s):
         ups = [b for b in domain if b.id == a.id and b.capacity >= a.capacity]
         choices.append(ups or [a])
     for combo in itertools.product(*choices):
-        if _ids_unique(combo):
-            yield frozenset(combo)
+        yield frozenset(combo)
+
+
+def _raise_failures(pairs, resolved: dict, domain) -> Iterable[tuple]:
+    """``(s, raised, t, v, vr)`` for each resolved pair ``((s, t), v)`` of
+    ``pairs``, in their order, and each id-wise raising of ``s`` whose
+    strength ``vr`` on ``t`` in ``resolved`` is undefined or below ``v``."""
+    for (s, t), v in pairs:
+        for raised in _raisings(s, domain):
+            vr = resolved.get((raised, t))
+            if vr is None or vr < v:
+                yield s, raised, t, v, vr
 
 
 def _fmt(instances) -> str:

@@ -311,15 +311,12 @@ def _check_P1(fw: Framework):
     # id-wise capacity raises keep strengths defined and non-decreasing; the
     # resolved table holds every defined pair, targets in domain order and
     # attacker sets in ``_id_unique_subsets`` order
-    from .core import instantiated_closure, _raisings, _resolved
+    from .core import instantiated_closure, _raise_failures, _resolved
 
     domain = sorted(instantiated_closure(fw))
     resolved = _resolved(fw.strengths, domain)
-    for (s, t), v in resolved.items():
-        for raised in _raisings(s, domain):
-            vr = resolved.get((raised, t))
-            if vr is None or vr < v:
-                return (s, raised, t)
+    for s, raised, t, _, _ in _raise_failures(resolved.items(), resolved, domain):
+        return (s, raised, t)
     return None
 
 

@@ -256,24 +256,14 @@ def test_family_grows_instead_of_probing_the_powerset(monkeypatch):
     assert family == [s for s in subsets if masks.conflict_eliminable(masks.mask(s))]
 
 
-def test_conflict_eliminability_tests_id_uniqueness_once_per_probe(monkeypatch):
+def test_conflict_eliminability_matches_definition_on_seven_under_persist():
     # seven under persist has variant ids and persist projections on most
-    # targets, so each member's ``best`` needs the id-uniqueness of the probe
+    # targets; every mask of its base arguments against the definition
     seven = load_fixture("seven")
     fw = Framework(seven.arguments, replace(seven.strengths, variant_policy="persist"))
     masks = _masks(fw)
-    passes = 0
-    unique = _Masks.unique
-
-    def counted(self, pool):
-        nonlocal passes
-        passes += 1
-        return unique(self, pool)
-
-    monkeypatch.setattr(_Masks, "unique", counted)
     probes = range(1 << len(fw.arguments))  # the base arguments hold the low bits
     answers = [masks.conflict_eliminable(m) for m in probes]
-    assert passes == len(probes)
     assert answers == [ref_conflict_eliminable(fw, masks.members(m)) for m in probes]
 
 

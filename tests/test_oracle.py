@@ -1,7 +1,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ceaf import Arg, RandomModelSpec, check_theorem, generate_random, validate_axioms
+from ceaf import (
+    Arg,
+    Framework,
+    RandomModelSpec,
+    check_theorem,
+    generate_random,
+    validate_axioms,
+)
 from ceaf import coalition, oracle, semantics
 from ceaf.core import _subsets
 from conftest import by_ids
@@ -205,6 +212,43 @@ def test_group_entries_match_brute_force(aggregator, policy, seed):
     for theorem in ("L1", "P5"):
         report = check_theorem(fw, theorem)
         assert report.verdict, report.to_json()
+
+
+def test_persist_projections_reach_attackers_with_repeated_ids():
+    # the one entry {x(3), y(3)} -> t(2) projects under persist onto {x(1),
+    # y(1)} and {x(2), y(1)}, both inside an attacker set holding two
+    # instances of x, so that set attacks t with strength 2 and defeats it
+    x1, x2, x3, y1, y3, t = (
+        Arg("x", 1), Arg("x", 2), Arg("x", 3), Arg("y", 1), Arg("y", 3), Arg("t", 2)
+    )
+    fw = Framework.build([x3, y3, t], {(frozenset({x3, y3}), t): 2}, "max", "persist")
+    attackers = {x1, x2, y1}
+    assert semantics.max_attack_strength(fw, attackers, t) == 2
+    assert oracle.brute_vmax(fw, attackers, t) == 2
+    assert semantics.defeats(fw, attackers, t) and oracle.brute_defeats(fw, attackers, t)
+
+
+@pytest.mark.parametrize(
+    "seed, aggregator", [(25, "max"), (68, "max"), (75, "max"), (26, "sum")]
+)
+def test_group_entries_match_brute_force_on_every_instance_set(seed, aggregator):
+    # attacker sets drawn from every instance the table names, so some hold
+    # two instances of one identifier; on these seeds a kernel that skips the
+    # persist projections onto such sets answers below the definition
+    fw = oracle.generate_group_entries(seed, aggregator, "persist")
+    instances = fw.arguments | fw.strengths.instances()
+    for attackers in _subsets(instances):
+        for target in sorted(instances):
+            where = (sorted(attackers), target)
+            assert semantics.max_attack_strength(fw, attackers, target) == (
+                oracle.brute_vmax(fw, attackers, target)
+            ), where
+            assert semantics.attacks(fw, attackers, target) == (
+                oracle.brute_attacks(fw, attackers, target)
+            ), where
+            assert semantics.defeats(fw, attackers, target) == (
+                oracle.brute_defeats(fw, attackers, target)
+            ), where
 
 
 def test_generate_group_entries_deterministic():
