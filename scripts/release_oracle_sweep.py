@@ -94,10 +94,12 @@ def check(name, fw):
                 fw, s, target
             ):
                 problems.append(("c-defeats", s, target))
-        if coalition.is_one_directionally_attacked(
+        if semantics.is_one_directionally_attacked(
             fw, s
         ) != oracle.brute_one_directional(fw, s):
             problems.append(("one-directional", s))
+        if semantics.state_rank(fw, s) != oracle._brute_rank(fw, s):
+            problems.append(("state-rank", s))
         if coalition.max_sets(fw, s) != oracle.brute_max_sets(fw, s):
             problems.append(("max-sets", s))
     if semantics.enumerate_c_preferred(fw) != oracle.brute_c_preferred(fw):

@@ -17,12 +17,12 @@ NP_KINDS = ("conflict-free", "admissible", "preferred")
 _EXPORTS = {
     "core": "Arg Framework NotConflictEliminable SizeLimitExceeded StrengthModel "
     "ValidationReport Violation instantiated_closure validate_axioms validate_coherent",
-    "semantics": "View attacks c_attacks c_defeats defeats enumerate_c_admissible "
+    "semantics": "StateRank View attacks c_attacks c_defeats defeats enumerate_c_admissible "
     "enumerate_c_preferred enumerate_conflict_eliminable intrinsic is_c_admissible "
-    "is_conflict_eliminable max_attack_strength view",
-    "coalition": "FormabilityResult ProfitVerdict StateRank attackers coalition_permitted "
-    "crit_leq formability is_continuous is_one_directionally_attacked is_weakly_continuous "
-    "max_profitable max_sets pref_supersets profitable state_leq state_rank undefeated_external",
+    "is_conflict_eliminable is_one_directionally_attacked max_attack_strength state_rank view",
+    "coalition": "FormabilityResult ProfitVerdict attackers coalition_permitted crit_leq "
+    "formability is_continuous is_weakly_continuous max_profitable max_sets pref_supersets "
+    "profitable state_leq undefeated_external",
     "npreduction": "NPFramework check_reduction np_attacks np_minimal np_semantics to_np",
     "oracle": "RandomModelSpec TheoremReport check_theorem generate_random",
 }

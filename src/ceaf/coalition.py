@@ -14,9 +14,8 @@ sets by one-sided or mutual (maximal) profitability.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Iterable, Literal, Optional
 
 from . import FEWER_BASES, FORMABILITY_KINDS
 from .core import (
@@ -29,48 +28,20 @@ from .core import (
     _maximal,
     _memoised,
 )
-from .semantics import (
+from .semantics import (  # the state names stay importable from here
+    StateRank,
     _conflict_eliminable_sets,
-    _unanswered_attack,
     attacks,
-    c_attacks,
     c_defeats,
     enumerate_c_preferred,
-    is_c_admissible,
     is_conflict_eliminable,
+    is_one_directionally_attacked,
+    state_rank,
 )
 
 Criterion = Literal["l", "b", "f"]
 FewerBasis = Literal["own", "shared"]
 FormabilityKind = Literal["W", "M", "WS", "S"]
-
-
-class StateRank(enum.IntEnum):
-    """Quality of a conflict-eliminable set, best first."""
-
-    ONE_DIRECTIONAL = 0
-    MIDDLE = 1
-    CADMISSIBLE = 2
-
-
-@_memoised
-def is_one_directionally_attacked(fw: Framework, subset: Iterable[Arg]) -> bool:
-    """Something in the coalition's view attacks a member, and the coalition
-    cannot counter-attack any element of that attacking set."""
-    if not is_conflict_eliminable(fw, subset):
-        raise NotConflictEliminable(_fmt(subset))
-    return _unanswered_attack(fw, subset, c_attacks)
-
-
-@_memoised
-def state_rank(fw: Framework, subset: Iterable[Arg]) -> StateRank:
-    if not is_conflict_eliminable(fw, subset):
-        raise NotConflictEliminable(_fmt(subset))
-    if is_c_admissible(fw, subset):
-        return StateRank.CADMISSIBLE
-    if is_one_directionally_attacked(fw, subset):
-        return StateRank.ONE_DIRECTIONAL
-    return StateRank.MIDDLE
 
 
 def state_leq(fw: Framework, first: Iterable[Arg], second: Iterable[Arg]) -> bool:
@@ -200,6 +171,19 @@ def _check_basis(fewer_basis: str) -> None:
         raise ValueError(f"unknown fewer basis {fewer_basis!r}")
 
 
+def _score(
+    fw: Framework, beta: Criterion, s: frozenset, base: Optional[frozenset]
+) -> int:
+    """``s``'s measure under one criterion, higher being better: its size
+    (``l``), state rank (``b``), or minus how many attackers of ``base`` (of
+    ``s`` when None) it leaves undefeated (``f``)."""
+    if beta == "l":
+        return len(s)
+    if beta == "b":
+        return state_rank(fw, s)
+    return -undefeated_external(fw, s if base is None else base, s)
+
+
 def crit_leq(
     fw: Framework,
     beta: Criterion,
@@ -217,19 +201,12 @@ def crit_leq(
         raise ValueError(f"unknown criterion {beta!r}")
     if beta == "f":
         _check_basis(fewer_basis)
-    if beta == "l":
-        return len(first) <= len(second)
-    if not (is_conflict_eliminable(fw, first) and is_conflict_eliminable(fw, second)):
+    if beta != "l" and not (
+        is_conflict_eliminable(fw, first) and is_conflict_eliminable(fw, second)
+    ):
         raise NotConflictEliminable("criteria b/f compare conflict-eliminable sets")
-    if beta == "b":
-        return state_rank(fw, first) <= state_rank(fw, second)
-    if fewer_basis == "own":
-        return undefeated_external(fw, second, second) <= undefeated_external(
-            fw, first, first
-        )
-    return undefeated_external(fw, shared_base, second) <= undefeated_external(
-        fw, shared_base, first
-    )
+    base = None if fewer_basis == "own" else shared_base
+    return _score(fw, beta, first, base) <= _score(fw, beta, second, base)
 
 
 def crit_less(
@@ -261,22 +238,21 @@ def max_profitable(
     if not _profitable_holds(fw, first, second):
         return False
     _check_limit(fw, limit)
-    firsts = _max_sets(fw, first)
-    seconds = _max_sets(fw, second)
+    base = None if fewer_basis == "own" else first
 
-    def survives(sx: frozenset) -> bool:
-        for sy in firsts:
-            for beta in ("l", "b", "f"):
-                if crit_less(fw, beta, sx, sy, fewer_basis, first):
-                    others = [g for g in ("l", "b", "f") if g != beta]
-                    if not any(
-                        crit_less(fw, gamma, sy, sx, fewer_basis, first)
-                        for gamma in others
-                    ):
-                        return False
-        return True
+    def scores(sx: frozenset) -> tuple:
+        return tuple(_score(fw, beta, sx, base) for beta in "lbf")
 
-    return any(survives(sx) for sx in seconds)
+    ys = [scores(sy) for sy in _max_sets(fw, first)]
+
+    def survives(x: tuple) -> bool:
+        return not any(
+            x[i] < y[i] and not any(y[j] < x[j] for j in range(3) if j != i)
+            for y in ys
+            for i in range(3)
+        )
+
+    return any(survives(scores(sx)) for sx in _max_sets(fw, second))
 
 
 def _continuity(fw: Framework, subset: Iterable[Arg], limit: int):

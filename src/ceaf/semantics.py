@@ -14,6 +14,7 @@ the original, full-capacity members.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -137,28 +138,50 @@ def c_defeats(fw: Framework, subset: Iterable[Arg], target: Arg) -> bool:
     return 0 < best and best >= target.capacity
 
 
-def _unanswered_attack(fw: Framework, subset: frozenset, answers) -> bool:
-    """Some minimal attacking set on a member of the conflict-eliminable
-    ``subset``, in its view, has no element ``x`` with ``answers(fw, subset,
-    x)``."""
-    masks = _masks(fw)
-    pool = masks.mask((fw.arguments - subset) | intrinsic(fw, subset))
-    base = masks.mask(subset)
-    return any(
-        not any(answers(fw, subset, x) for x in sorted(masks.members(m)))
-        for member in sorted(subset)
-        for m in masks.minimal(masks.target(member), pool, base)
-    )
+class StateRank(enum.IntEnum):
+    """Quality of a conflict-eliminable set, best first."""
+
+    ONE_DIRECTIONAL = 0
+    MIDDLE = 1
+    CADMISSIBLE = 2
 
 
 @_memoised
+def state_rank(fw: Framework, subset: Iterable[Arg]) -> StateRank:
+    """The state of a conflict-eliminable coalition, from one walk over the
+    minimal attacking sets on its members in its view: the first set with no
+    element the coalition c-attacks makes it one-directionally attacked (a
+    c-defeat is a c-attack), else one with no c-defeated element the middle
+    state, else it is coalition-admissible."""
+    if not is_conflict_eliminable(fw, subset):
+        raise NotConflictEliminable(_fmt(subset))
+    masks = _masks(fw)
+    base, rank = masks.mask(subset), StateRank.CADMISSIBLE
+    # the sorted arguments hold the low bits, so the members come in order
+    pool = (1 << len(fw.arguments)) - 1 & ~base | masks.mask(intrinsic(fw, subset))
+    for i in range(base.bit_length()):
+        for m in masks.minimal(masks.record(i), pool, base) if base >> i & 1 else ():
+            got = [(_view_strongest(fw, subset, x), x.capacity) for x in masks.members(m)]
+            if not any(v > 0 for v, _ in got):
+                return StateRank.ONE_DIRECTIONAL
+            if not any(0 < v >= c for v, c in got):
+                rank = StateRank.MIDDLE
+    return rank
+
+
+def is_one_directionally_attacked(fw: Framework, subset: Iterable[Arg]) -> bool:
+    """Something in the coalition's view attacks a member, and the coalition
+    cannot counter-attack any element of that attacking set."""
+    return state_rank(fw, subset) == StateRank.ONE_DIRECTIONAL
+
+
 def is_c_admissible(fw: Framework, subset: Iterable[Arg]) -> bool:
     """The coalition defends every original member: each attacking set in its
     view contains an element the coalition defeats from its intrinsic
-    arguments."""
-    if not is_conflict_eliminable(fw, subset):
-        return False
-    return not _unanswered_attack(fw, subset, c_defeats)
+    arguments.  False when the set is not conflict-eliminable."""
+    subset = frozenset(subset)
+    ce = is_conflict_eliminable(fw, subset)
+    return ce and state_rank(fw, subset) == StateRank.CADMISSIBLE
 
 
 @_memoised

@@ -273,22 +273,16 @@ def test_T3_reports_the_first_union_without_a_preferred_witness(monkeypatch):
     assert report.to_json() == ref_report(reference, "T3")
 
 
-def test_checkers_decide_admissibility_once_per_set(monkeypatch):
-    # 92 of the 256 subsets are conflict-eliminable; each one's admissibility
-    # is decided once, and no subset outside the family is probed
+def test_checkers_decide_admissibility_once_per_set():
+    # 92 of the 256 subsets are conflict-eliminable; each one's state is
+    # decided once, into the memoised rank, and no subset outside the family
+    # is probed
     fw = generate_random(RandomModelSpec(8, (1, 4), 0.25, "sum", 1))
     family = semantics._conflict_eliminable_sets(fw)
-    real, decided = semantics._unanswered_attack, []
-
-    def counted(fw, subset, answers):
-        if answers is semantics.c_defeats:
-            decided.append(subset)
-        return real(fw, subset, answers)
-
-    monkeypatch.setattr(semantics, "_unanswered_attack", counted)
     for theorem in ("T3", "T4", "P6", "T10"):
         check_theorem(fw, theorem)
-    assert len(decided) <= len(family) < 256
+    decided = fw._memo.get(inspect.unwrap(semantics.state_rank), {})
+    assert 0 < len(decided) <= len(family) < 256
     probed = fw._memo.get(inspect.unwrap(semantics.is_conflict_eliminable), {})
     assert len(probed) <= len(family)
 

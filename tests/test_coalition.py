@@ -333,6 +333,10 @@ def test_memoised_queries_accept_any_iterable(query):
         )
         answers = [query(fw, form, *rest) for form in forms]
         assert all(answer == answers[0] for answer in answers), names
+    if query in (semantics.is_c_admissible, is_one_directionally_attacked):
+        # plain reads of the memoised state rank, which keeps the keys
+        assert query not in fw._memo
+        query = state_rank
     table = fw._memo[query.__wrapped__]
     assert len(table) == 2
     for key in table:

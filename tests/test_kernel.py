@@ -1,14 +1,16 @@
 """The L1-L3 mask kernel against the definitions, on frozensets.
 
 ``max_attack_strength``, ``defeats``, ``is_conflict_eliminable``,
-``c_attacks``, ``c_defeats``, ``is_c_admissible`` and
-``is_one_directionally_attacked`` all resolve through one per-framework mask
-context (``core._Masks``).  The reference below is the definition: every
+``c_attacks``, ``c_defeats`` and ``state_rank`` (which ``is_c_admissible`` and
+``is_one_directionally_attacked`` read) all resolve through one per-framework
+mask context (``core._Masks``).  The reference below is the definition: every
 nonempty id-unique subset of the attackers looked up with
 ``StrengthModel.strength`` or with a view's rule, and the best of them taken
 by ``_strongest``; the minimal attacking sets ``_minimal_attack_sets`` finds
 among the resolving singletons, listed keys and persist projections, since
-every attacking set contains one of those.
+every attacking set contains one of those.  Attack strength and defeat on
+attacker sets holding two instances of one identifier are checked against the
+brute-force oracle instead.
 """
 
 import importlib
@@ -24,6 +26,7 @@ from hypothesis import given, settings, strategies as st
 from ceaf import (
     Framework,
     RandomModelSpec,
+    StateRank,
     StrengthModel,
     generate_random,
     instantiated_closure,
@@ -31,7 +34,7 @@ from ceaf import (
     semantics,
 )
 from ceaf.core import _Masks, _id_unique_subsets, _masks, _subsets
-from ceaf.oracle import brute_conflict_eliminable, brute_vmax
+from ceaf.oracle import brute_conflict_eliminable, brute_defeats, brute_vmax
 from conftest import ROOT, by_ids, load_fixture
 from test_coalition import DIFFERENTIAL_FRAMEWORKS, non_monotone_group_entry
 from test_core import strength_tables
@@ -151,14 +154,17 @@ def test_attack_strength_matches_reference(aggregator, policy, data):
     for a in sorted(pool):
         top[a.id] = a  # each identifier at its largest capacity
     fw = Framework(frozenset(top.values()), model)
-    for attackers in _id_unique_subsets(pool, include_empty=True):
+    # any attacker set, two instances of one identifier included; a sample,
+    # since the brute maximum over all of them grows as 3**len(pool)
+    drawn = st.lists(st.sampled_from(list(_subsets(pool))), max_size=40)
+    for attackers in [frozenset(), *data.draw(drawn)]:
         for target in sorted(pool):
-            want = ref_max_attack_strength(fw, attackers, target)
+            want = brute_vmax(fw, attackers, target)
             assert semantics.max_attack_strength(fw, attackers, target) == want, (
                 sorted(attackers), target
             )
             assert semantics.defeats(fw, attackers, target) == (
-                ref_defeats(fw, attackers, target)
+                brute_defeats(fw, attackers, target)
             ), (sorted(attackers), target)
 
 
@@ -194,12 +200,16 @@ def test_kernel_matches_reference(make):
 def test_states_match_reference(make):
     fw = make()
     for subset in ref_conflict_eliminable_sets(fw):
-        assert semantics.is_c_admissible(fw, subset) == (
-            ref_c_admissible(fw, subset)
-        ), subset
-        assert is_one_directionally_attacked(fw, subset) == (
-            ref_one_directionally_attacked(fw, subset)
-        ), subset
+        admissible = ref_c_admissible(fw, subset)
+        one_directional = ref_one_directionally_attacked(fw, subset)
+        assert semantics.is_c_admissible(fw, subset) == admissible, subset
+        assert is_one_directionally_attacked(fw, subset) == one_directional, subset
+        want = (
+            StateRank.CADMISSIBLE if admissible
+            else StateRank.ONE_DIRECTIONAL if one_directional
+            else StateRank.MIDDLE
+        )
+        assert semantics.state_rank(fw, subset) == want, subset
 
 
 @pytest.mark.parametrize("policy", ["strict", "persist"])

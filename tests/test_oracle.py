@@ -9,9 +9,9 @@ from ceaf import (
     generate_random,
     validate_axioms,
 )
-from ceaf import coalition, oracle, semantics
+from ceaf import FORMABILITY_KINDS, coalition, oracle, semantics
 from ceaf.core import _subsets
-from conftest import by_ids
+from conftest import BRUTE, by_ids, load_fixture
 
 FIXTURE_NAMES = ("ldp", "seven", "asym", "disc")
 
@@ -72,6 +72,38 @@ def test_brute_alpha_examples(ldp):
         Arg("a1", 1),
         Arg("a3", 2),
     }
+
+
+@pytest.mark.parametrize("name", ["ldp", "indep_larger", "indep_state"])
+def test_brute_memo_matches_the_unwrapped_oracle(monkeypatch, name):
+    # conftest wraps the oracle in a session memo; with the wrappers taken
+    # out, the cache-free definitions give the same answers
+    fw = load_fixture(name)
+
+    def ask():
+        subsets = _subsets(fw.arguments, include_empty=True)
+        family = [s for s in subsets if oracle.brute_conflict_eliminable(fw, s)]
+        base = family[1]
+        return (
+            family,
+            [oracle.brute_alpha(fw, s) for s in family],
+            [oracle._brute_rank(fw, s) for s in family],
+            [oracle._brute_undefeated(fw, base, s) for s in family],
+            [oracle.brute_max_sets(fw, s) for s in family],
+            oracle.brute_c_preferred(fw),
+            [oracle.brute_formability(fw, kind, base) for kind in FORMABILITY_KINDS],
+        )
+
+    memoised = ask()
+    stored = sum(len(getattr(oracle, n).table) for n in BRUTE)
+    assert ask() == memoised
+    assert sum(len(getattr(oracle, n).table) for n in BRUTE) == stored
+    got = oracle.brute_max_sets(fw, memoised[0][1])
+    got.append(None)  # a copy: the stored list is untouched
+    assert oracle.brute_max_sets(fw, memoised[0][1]) == got[:-1]
+    for n in BRUTE:
+        monkeypatch.setattr(oracle, n, getattr(oracle, n).__wrapped__)
+    assert ask() == memoised
 
 
 def test_vmax_matches_brute_force(request, random_models):
