@@ -11,8 +11,11 @@ diff; on those it also compares attack strength and attack on every attacker
 set drawn from the instances the table names, two instances of one
 identifier included.  It runs the reduction check on 200 seeded defeat-only
 frameworks of 3-8 arguments, where each violation it reports counts as a
-diff.  Slow by design (run before a release, not in the regular test loop);
-prints one line per framework and a final verdict.
+diff.  Maximal profitability and formability are compared under both fewer
+bases.  The brute functions answer through the memo of the test session
+(``tests/brute_memo.py``), emptied after each framework.  Slow by design (run
+before a release, not in the regular test loop); prints one line per
+framework and a final verdict.
 """
 
 import sys
@@ -20,7 +23,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+import brute_memo
 
 from ceaf import (
     RandomModelSpec,
@@ -29,7 +34,7 @@ from ceaf import (
     generate_random,
     io_doc,
 )
-from ceaf import coalition, oracle, semantics
+from ceaf import FEWER_BASES, FORMABILITY_KINDS, coalition, oracle, semantics
 from ceaf.core import _subsets
 
 # as in tests/test_properties.py; the fixtures are left out, since `seven`
@@ -118,18 +123,22 @@ def check(name, fw):
                     fw, s1, s2
                 ).holds != oracle.brute_profitable(fw, s1, s2):
                     problems.append(("profitable", s1, s2))
-                if (deep or len(s1) <= 1) and coalition.max_profitable(
-                    fw, s1, s2
-                ) != oracle.brute_max_profitable(fw, s1, s2):
-                    problems.append(("max-profitable", s1, s2))
+                for basis in FEWER_BASES if deep or len(s1) <= 1 else ():
+                    if coalition.max_profitable(
+                        fw, s1, s2, basis
+                    ) != oracle.brute_max_profitable(fw, s1, s2, basis):
+                        problems.append(("max-profitable", basis, s1, s2))
         for s1 in ce:
             if not s1 or not (deep or len(s1) == 1):
                 continue
-            for kind in ("W", "M", "WS", "S"):
+            # W and M do not read the basis
+            kinds = [(k, "own") for k in FORMABILITY_KINDS]
+            kinds += [("WS", "shared"), ("S", "shared")]
+            for kind, basis in kinds:
                 if list(
-                    coalition.formability(fw, kind, s1).partners
-                ) != oracle.brute_formability(fw, kind, s1):
-                    problems.append(("formability", kind, s1))
+                    coalition.formability(fw, kind, s1, basis).partners
+                ) != oracle.brute_formability(fw, kind, s1, basis):
+                    problems.append(("formability", kind, basis, s1))
     return problems
 
 
@@ -165,6 +174,7 @@ def check_reduction_violations(name, fw):
 
 
 def main():
+    brute_memo.install()
     start = time.time()
     bad = 0
     for name, fw, checker in frameworks():
@@ -172,6 +182,7 @@ def main():
             continue
         t0 = time.time()
         problems = checker(name, fw)
+        brute_memo.clear()  # the next framework shares no brute answer
         status = "ok" if not problems else f"{len(problems)} DIFFS"
         print(f"{name}: {status} ({time.time() - t0:.1f}s)")
         if problems:

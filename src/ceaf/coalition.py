@@ -15,42 +15,108 @@ sets by one-sided or mutual (maximal) profitability.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal, Optional
+from typing import Iterable, Literal
 
 from . import FEWER_BASES, FORMABILITY_KINDS
-from .core import (
-    Arg,
-    Framework,
-    NotConflictEliminable,
-    SIZE_LIMIT_DEFAULT,
-    _check_limit,
-    _fmt,
-    _maximal,
-    _memoised,
-)
-from .semantics import (  # the state names stay importable from here
-    StateRank,
-    _conflict_eliminable_sets,
-    attacks,
-    c_defeats,
-    enumerate_c_preferred,
-    is_conflict_eliminable,
-    is_one_directionally_attacked,
-    state_rank,
-)
+from .core import Arg, Framework, NotConflictEliminable, SIZE_LIMIT_DEFAULT
+from .core import _bits, _check_limit, _fmt, _masks, _maximal_masks, _memoised
+from .semantics import _family, attacks, c_defeats, state_rank
+from .semantics import enumerate_c_preferred, is_conflict_eliminable
+from .semantics import StateRank, is_one_directionally_attacked  # importable from here
 
 Criterion = Literal["l", "b", "f"]
 FewerBasis = Literal["own", "shared"]
 FormabilityKind = Literal["W", "M", "WS", "S"]
 
 
+class _Growth:
+    """A framework's coalition records, keyed by mask and filled on first
+    use: the state rank (-1 off the conflict-eliminable family), the attacker
+    mask, the base arguments whose c-defeat is known with those c-defeated,
+    and the profit-maximal supersets, which walk the family: callers check
+    the size limit first.  Like ``_Masks`` it holds no framework, whose memo
+    holds it; the methods take one."""
+
+    def __init__(self, masks):
+        self.masks, self.ranks, self.att, self.beat, self.maxes = masks, {}, {}, {}, {}
+
+    def rank(self, fw: Framework, m: int) -> int:
+        r = self.ranks.get(m)
+        if r is None:
+            s = self.masks.members(m)
+            r = self.ranks[m] = state_rank(fw, s) if is_conflict_eliminable(fw, s) else -1
+        return r
+
+    def attacker_mask(self, fw: Framework, m: int) -> int:
+        """The union of the members' ``attackers``, each asked once."""
+        a = self.att.get(m)
+        if a is None:
+            a = 0
+            for b in _bits(m):
+                if b not in self.att:
+                    self.att[b] = self.masks.mask(attackers(fw, self.masks.members(b)))
+                a |= self.att[b]
+            self.att[m] = a
+        return a
+
+    def undefeated(self, fw: Framework, base: int, cand: int) -> int:
+        """``undefeated_external``, asking ``c_defeats`` about each pair once."""
+        need = self.attacker_mask(fw, base) & ~cand
+        known, beat = self.beat.get(cand, (0, 0))
+        if need & ~known:
+            s, args = self.masks.members(cand), self.masks.args
+            for b in _bits(need & ~known):
+                if c_defeats(fw, s, args[b.bit_length() - 1]):
+                    beat |= b
+            self.beat[cand] = known | need, beat
+        return (need & ~beat).bit_count()
+
+    def holds(self, fw: Framework, first: int, second: int) -> bool:
+        """``profitable(...).holds``, stopping at its first failing clause."""
+        return (
+            not first & ~second
+            and 0 <= self.rank(fw, first) <= self.rank(fw, second)
+            and self.undefeated(fw, first, first) >= self.undefeated(fw, first, second)
+        )
+
+    def score(self, fw: Framework, m: int, base: int) -> tuple:
+        """Size, state rank and minus the attackers of ``base`` left undefeated."""
+        return m.bit_count(), self.rank(fw, m), -self.undefeated(fw, base, m)
+
+    def max_sets(self, fw: Framework, m: int) -> list:
+        """The profit-maximal supersets of ``m``, in family order."""
+        got = self.maxes.get(m)
+        if got is None:
+            reach = [t for t in _family(fw) if not m & ~t and self.holds(fw, m, t)]
+            got = self.maxes[m] = _maximal_masks(reach)
+        return got
+
+    def survives(self, fw: Framework, first: int, second: int, shared: bool) -> bool:
+        """``max_profitable`` past its profitability clause."""
+        score = lambda x: self.score(fw, x, first if shared else x)
+        ys = [score(y) for y in self.max_sets(fw, first)]
+        return any(
+            all(any(y[j] < x[j] for j in range(3) if j != i)
+                for y in ys for i in range(3) if x[i] < y[i])
+            for x in map(score, self.max_sets(fw, second))
+        )
+
+
+@_memoised
+def _growth(fw: Framework) -> _Growth:
+    return _Growth(_masks(fw))
+
+
+def _on_masks(fw: Framework, *sets) -> tuple:
+    """``fw``'s coalition records, then each of ``sets`` as a mask."""
+    return (g := _growth(fw), *map(g.masks.mask, sets))
+
+
 def state_leq(fw: Framework, first: Iterable[Arg], second: Iterable[Arg]) -> bool:
     """Is the second set in at least as good a state as the first?  False
     unless both sets are conflict-eliminable."""
-    first, second = frozenset(first), frozenset(second)
-    if not (is_conflict_eliminable(fw, first) and is_conflict_eliminable(fw, second)):
-        return False
-    return state_rank(fw, first) <= state_rank(fw, second)
+    g, f, s = _on_masks(fw, first, second)
+    return 0 <= g.rank(fw, f) <= g.rank(fw, s)
 
 
 def coalition_permitted(
@@ -61,14 +127,10 @@ def coalition_permitted(
     return not (first & second) and is_conflict_eliminable(fw, first | second)
 
 
-@_memoised
 def attackers(fw: Framework, subset: Iterable[Arg]) -> frozenset:
     """The framework members whose singletons attack some member of the set."""
-    return frozenset(
-        s
-        for s in fw.arguments
-        if any(attacks(fw, frozenset((s,)), member) for member in subset)
-    )
+    subset = frozenset(subset)
+    return frozenset(s for s in fw.arguments if any(attacks(fw, (s,), t) for t in subset))
 
 
 def undefeated_external(
@@ -76,12 +138,8 @@ def undefeated_external(
 ) -> int:
     """How many of the base set's attackers the candidate coalition neither
     absorbs nor defeats."""
-    base, candidate = frozenset(base), frozenset(candidate)
-    return sum(
-        1
-        for s in attackers(fw, base)
-        if s not in candidate and not c_defeats(fw, candidate, s)
-    )
+    g, b, c = _on_masks(fw, base, candidate)
+    return g.undefeated(fw, b, c)
 
 
 @dataclass(frozen=True)
@@ -109,44 +167,23 @@ def profitable(
     """Is growing from ``first`` to ``second`` profitable?  All three axioms
     must hold: containment, state, and no increase in the base set's
     undefeated external attackers."""
-    first, second = frozenset(first), frozenset(second)
-    larger = first <= second
-    better = state_leq(fw, first, second)
-    before = undefeated_external(fw, first, first)
-    after = undefeated_external(fw, first, second)
+    g, f, s = _on_masks(fw, first, second)
+    larger, better = not f & ~s, 0 <= g.rank(fw, f) <= g.rank(fw, s)
+    before, after = g.undefeated(fw, f, f), g.undefeated(fw, f, s)
     fewer = before >= after
-    return ProfitVerdict(
-        larger and better and fewer, larger, better, fewer, (before, after)
-    )
+    holds = larger and better and fewer
+    return ProfitVerdict(holds, larger, better, fewer, (before, after))
 
 
-@_memoised
-def _profitable_holds(fw: Framework, first: frozenset, second: frozenset) -> bool:
-    """``profitable(...).holds``, stopping at its first failing clause."""
-    return (
-        first <= second
-        and state_leq(fw, first, second)
-        and undefeated_external(fw, first, first)
-        >= undefeated_external(fw, first, second)
-    )
-
-
-def _members(fw: Framework, subset: Iterable[Arg]) -> frozenset:
-    """``subset`` as a frozenset; ValueError names any instance not in ``fw``."""
+def _members(fw: Framework, subset: Iterable[Arg], ce: bool = False) -> frozenset:
+    """``subset`` as a frozenset; ValueError names any instance not in ``fw``,
+    and with ``ce`` NotConflictEliminable a set off the family."""
     subset = frozenset(subset)
     if not subset <= fw.arguments:
         raise ValueError(f"{_fmt(subset - fw.arguments)} not in the framework")
-    return subset
-
-
-@_memoised
-def _max_sets(fw: Framework, subset: frozenset) -> tuple:
-    """Callers check the size limit and ``_members`` first."""
-    if not is_conflict_eliminable(fw, subset):
+    if ce and not is_conflict_eliminable(fw, subset):
         raise NotConflictEliminable(_fmt(subset))
-    family = _conflict_eliminable_sets(fw)
-    reachable = [t for t in family if subset <= t and _profitable_holds(fw, subset, t)]
-    return tuple(_maximal(reachable))
+    return subset
 
 
 def max_sets(
@@ -154,8 +191,9 @@ def max_sets(
 ) -> list:
     """All profit-maximal supersets of the given conflict-eliminable set."""
     subset = _members(fw, subset)
-    _check_limit(fw, limit)
-    return list(_max_sets(fw, subset))
+    _check_limit(fw, limit)  # before the state check, unlike the queries below
+    g, m = _on_masks(fw, _members(fw, subset, ce=True))
+    return list(map(_family(fw).get, g.max_sets(fw, m)))
 
 
 def pref_supersets(
@@ -171,19 +209,6 @@ def _check_basis(fewer_basis: str) -> None:
         raise ValueError(f"unknown fewer basis {fewer_basis!r}")
 
 
-def _score(
-    fw: Framework, beta: Criterion, s: frozenset, base: Optional[frozenset]
-) -> int:
-    """``s``'s measure under one criterion, higher being better: its size
-    (``l``), state rank (``b``), or minus how many attackers of ``base`` (of
-    ``s`` when None) it leaves undefeated (``f``)."""
-    if beta == "l":
-        return len(s)
-    if beta == "b":
-        return state_rank(fw, s)
-    return -undefeated_external(fw, s if base is None else base, s)
-
-
 def crit_leq(
     fw: Framework,
     beta: Criterion,
@@ -196,17 +221,15 @@ def crit_leq(
     (size), ``b`` (state rank), or ``f`` (undefeated attackers, fewer being
     better)?  For ``f`` each set is measured against its own attacker base by
     default; the ``shared`` basis measures both against ``shared_base``."""
-    first, second = frozenset(first), frozenset(second)
     if beta not in ("l", "b", "f"):
         raise ValueError(f"unknown criterion {beta!r}")
     if beta == "f":
         _check_basis(fewer_basis)
-    if beta != "l" and not (
-        is_conflict_eliminable(fw, first) and is_conflict_eliminable(fw, second)
-    ):
+    g, f, s, shared = _on_masks(fw, first, second, shared_base)
+    if beta != "l" and min(g.rank(fw, f), g.rank(fw, s)) < 0:
         raise NotConflictEliminable("criteria b/f compare conflict-eliminable sets")
-    base = None if fewer_basis == "own" else shared_base
-    return _score(fw, beta, first, base) <= _score(fw, beta, second, base)
+    score = lambda x: g.score(fw, x, x if fewer_basis == "own" else shared)
+    return score(f)["lbf".index(beta)] <= score(s)["lbf".index(beta)]
 
 
 def crit_less(
@@ -234,34 +257,23 @@ def max_profitable(
     ``first``, compensate each strict criterion loss with a strict win on
     another criterion."""
     _check_basis(fewer_basis)
-    first, second = _members(fw, first), _members(fw, second)
-    if not _profitable_holds(fw, first, second):
+    g, f, s = _on_masks(fw, _members(fw, first), _members(fw, second))
+    if not g.holds(fw, f, s):
         return False
     _check_limit(fw, limit)
-    base = None if fewer_basis == "own" else first
-
-    def scores(sx: frozenset) -> tuple:
-        return tuple(_score(fw, beta, sx, base) for beta in "lbf")
-
-    ys = [scores(sy) for sy in _max_sets(fw, first)]
-
-    def survives(x: tuple) -> bool:
-        return not any(
-            x[i] < y[i] and not any(y[j] < x[j] for j in range(3) if j != i)
-            for y in ys
-            for i in range(3)
-        )
-
-    return any(survives(scores(sx)) for sx in _max_sets(fw, second))
+    return g.survives(fw, f, s, fewer_basis == "shared")
 
 
 def _continuity(fw: Framework, subset: Iterable[Arg], limit: int):
-    """``_continuous_via`` for each profit-maximal superset of ``subset``."""
-    subset = _members(fw, subset)
-    if not is_conflict_eliminable(fw, subset):
-        raise NotConflictEliminable(_fmt(subset))
+    """For each profit-maximal superset of ``subset``, whether every family
+    set between the two is profitable from ``subset``."""
+    subset = _members(fw, subset, ce=True)
     _check_limit(fw, limit)
-    return (_continuous_via(fw, subset, sz) for sz in _max_sets(fw, subset))
+    g, m = _on_masks(fw, subset)
+    return (
+        all(g.holds(fw, m, w) for w in _family(fw) if not m & ~w and not w & ~z)
+        for z in g.max_sets(fw, m)
+    )
 
 
 def is_weakly_continuous(
@@ -277,14 +289,6 @@ def is_continuous(
 ) -> bool:
     """Every profit-maximal superset can be grown towards as above."""
     return all(_continuity(fw, subset, limit))
-
-
-def _continuous_via(fw: Framework, subset: frozenset, sz: frozenset) -> bool:
-    return all(
-        _profitable_holds(fw, subset, sw)
-        for sw in _conflict_eliminable_sets(fw)
-        if subset <= sw <= sz
-    )
 
 
 @dataclass(frozen=True)
@@ -307,25 +311,19 @@ def formability(
     if kind not in FORMABILITY_KINDS:
         raise ValueError(f"unknown formability kind {kind!r}")
     _check_basis(fewer_basis)
-    subset = _members(fw, subset)
-    if not is_conflict_eliminable(fw, subset):
-        raise NotConflictEliminable(_fmt(subset))
+    subset = _members(fw, subset, ce=True)
     _check_limit(fw, limit)
-
-    if kind in ("W", "M"):
-        relation = lambda a, b: _profitable_holds(fw, a, b)
-    else:
-        relation = lambda a, b: max_profitable(fw, a, b, fewer_basis, limit)
+    g, m = _on_masks(fw, subset)
+    maximal, shared = kind in ("WS", "S"), fewer_basis == "shared"
     combine = any if kind in ("W", "WS") else all
-
     # every conflict-eliminable proper superset is a permitted union; the
     # partners come out in ``_subsets`` order, as the unions do, since two
     # unions over one base differ exactly where their partners differ
-    partners = []
-    for union in _conflict_eliminable_sets(fw):
-        candidate = union - subset
-        if subset < union and combine(
-            (relation(subset, union), relation(candidate, union))
-        ):
-            partners.append(candidate)
-    return FormabilityResult(kind, subset, tuple(partners))
+    return FormabilityResult(kind, subset, tuple(
+        union - subset
+        for u, union in _family(fw).items()
+        if not m & ~u and u != m and combine(
+            g.holds(fw, a, u) and (not maximal or g.survives(fw, a, u, shared))
+            for a in (m, u & ~m)
+        )
+    ))

@@ -264,9 +264,22 @@ def _grow(n: int, ok) -> list:
     return found
 
 
-def _maximal(family) -> list:
-    """The sets of ``family`` inside no other member, in ``family``'s order."""
-    return [s for s in family if not any(s < t for t in family)]
+def _bits(mask: int):
+    """The set bits of ``mask``, lowest first, each as a one-bit mask."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
+def _maximal_masks(family: list) -> list:
+    """The masks of ``family``, distinct and in ``_subsets`` order, inside no
+    other, in that order: walked largest first, each kept unless inside a kept one."""
+    kept = []
+    for m in reversed(family):
+        if all(m & ~k for k in kept):
+            kept.append(m)
+    return kept[::-1]
 
 
 def _id_unique_subsets(instances, include_empty=False):
@@ -389,7 +402,7 @@ class _Masks:
         return m
 
     def members(self, mask: int) -> frozenset:
-        return frozenset(a for i, a in enumerate(self.args) if mask >> i & 1)
+        return frozenset([self.args[b.bit_length() - 1] for b in _bits(mask)])
 
     def target(self, t: Arg) -> _Target:
         return self.record(self.bit(t).bit_length() - 1)
@@ -473,9 +486,7 @@ class _Masks:
                 else:  # some identifier has two instances in ``pool``
                     ms = [0]
                     for i in ids:
-                        part = pool & id_masks[i]
-                        bits = [1 << j for j in range(part.bit_length()) if part >> j & 1]
-                        ms = [x | b for x in ms for b in bits]
+                        ms = [x | b for x in ms for b in _bits(pool & id_masks[i])]
                     out += ms
         return out
 

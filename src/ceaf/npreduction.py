@@ -17,16 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
-from .core import (
-    Framework,
-    SIZE_LIMIT_DEFAULT,
-    ValidationReport,
-    Violation,
-    _check_limit,
-    _fmt,
-    _grow,
-    _maximal,
-)
+from .core import Framework, SIZE_LIMIT_DEFAULT, ValidationReport, Violation
+from .core import _check_limit, _fmt, _grow, _maximal_masks
 from . import NP_KINDS, semantics
 
 NPKind = Literal["conflict-free", "admissible", "preferred"]
@@ -74,9 +66,9 @@ def np_minimal(np: NPFramework, group: Iterable[str], target: str) -> bool:
 
 
 def _plain(np: NPFramework) -> tuple:
-    """The conflict-free and the admissible sets of ``np``, in ``_subsets``
-    order.  Each name is a bit, in sorted order, and each target keeps its
-    minimal attacker masks.  Conflict-freeness is downward closed, so the
+    """The conflict-free, the admissible and the preferred sets of ``np``, in
+    ``_subsets`` order.  Each name is a bit, in sorted order, and each target
+    keeps its minimal attacker masks.  Conflict-freeness is downward closed, so the
     conflict-free sets grow by ``_grow``; a set is cut as soon as its highest
     name completes an attack together with its target."""
     names = sorted(np.arguments)
@@ -97,7 +89,7 @@ def _plain(np: NPFramework) -> tuple:
         if all(a & hit for t, ms in minimal.items() if t & s for a in ms):
             admissible.append(s)
     sets = lambda masks: [frozenset(n for n, b in bit.items() if m & b) for m in masks]
-    return sets(free), sets(admissible)
+    return sets(free), sets(admissible), sets(_maximal_masks(admissible))
 
 
 def np_semantics(
@@ -107,12 +99,7 @@ def np_semantics(
     if kind not in NP_KINDS:
         raise ValueError(f"unknown semantics kind {kind!r}")
     _check_limit(np, limit)
-    free, admissible = _plain(np)
-    if kind == "conflict-free":
-        return free
-    if kind == "admissible":
-        return admissible
-    return _maximal(admissible)
+    return _plain(np)[NP_KINDS.index(kind)]
 
 
 def to_np(fw: Framework) -> NPFramework:
@@ -160,7 +147,7 @@ def check_reduction(fw: Framework, limit: int = SIZE_LIMIT_DEFAULT) -> Validatio
     ids = lambda s: frozenset(a.id for a in s)
     by_id = {a.id: a for a in fw.arguments}
     ce = {ids(s): s for s in semantics._conflict_eliminable_sets(fw)}
-    free, admissible = _plain(to_np(fw))
+    free, admissible, preferred = _plain(to_np(fw))
     free = set(free)
     violations = []
 
@@ -205,14 +192,14 @@ def check_reduction(fw: Framework, limit: int = SIZE_LIMIT_DEFAULT) -> Validatio
                         )
                     )
 
-    c_adm = [ids(s) for s in semantics.enumerate_c_admissible(fw, limit)]
     for claim, mine, plain in (
-        ("admissible", c_adm, admissible),
-        ("preferred", _maximal(c_adm), _maximal(admissible)),
+        ("admissible", semantics.enumerate_c_admissible(fw, limit), admissible),
+        ("preferred", semantics.enumerate_c_preferred(fw, limit), preferred),
     ):
-        if set(mine) != set(plain):
+        mine = set(map(ids, mine))
+        if mine != set(plain):
             difference = sorted(
-                (sorted(d) for d in set(mine).symmetric_difference(plain)), key=str
+                (sorted(d) for d in mine.symmetric_difference(plain)), key=str
             )
             violations.append(
                 Violation(

@@ -18,19 +18,8 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import (
-    Arg,
-    Framework,
-    NotConflictEliminable,
-    SIZE_LIMIT_DEFAULT,
-    StrengthModel,
-    _check_limit,
-    _fmt,
-    _grow,
-    _masks,
-    _maximal,
-    _memoised,
-)
+from .core import Arg, Framework, NotConflictEliminable, SIZE_LIMIT_DEFAULT, StrengthModel
+from .core import _check_limit, _fmt, _grow, _masks, _maximal_masks, _memoised
 
 
 def max_attack_strength(fw: Framework, attackers: Iterable[Arg], target: Arg) -> int:
@@ -185,13 +174,19 @@ def is_c_admissible(fw: Framework, subset: Iterable[Arg]) -> bool:
 
 
 @_memoised
-def _conflict_eliminable_sets(fw: Framework) -> tuple:
-    """Every conflict-eliminable subset of the framework's arguments, in
-    ``_subsets`` order, grown by ``_grow``: for T ⊆ S the strongest attack on
-    a member of T from a subset of T is at most that from a subset of S, so
-    the family is downward closed.  Callers check the size limit first."""
+def _family(fw: Framework) -> dict:
+    """Every conflict-eliminable subset of the framework's arguments by its
+    mask, in ``_subsets`` order, grown by ``_grow``: for T ⊆ S the strongest
+    attack on a member of T from a subset of T is at most that from a subset
+    of S, so the family is downward closed.  Callers check the size limit."""
     masks = _masks(fw)  # the sorted arguments hold the low bits, as in ``_subsets``
-    return tuple(map(masks.members, _grow(len(fw.arguments), masks.conflict_eliminable)))
+    found = _grow(len(fw.arguments), masks.conflict_eliminable)
+    return dict(zip(found, map(masks.members, found)))
+
+
+def _conflict_eliminable_sets(fw: Framework) -> tuple:
+    """The sets of ``_family``, in its order."""
+    return tuple(_family(fw).values())
 
 
 def enumerate_conflict_eliminable(
@@ -206,7 +201,16 @@ def enumerate_c_admissible(fw: Framework, limit: int = SIZE_LIMIT_DEFAULT) -> li
     return [s for s in _conflict_eliminable_sets(fw) if is_c_admissible(fw, s)]
 
 
+@_memoised
+def _c_preferred(fw: Framework) -> tuple:
+    """The subset-maximal c-admissible sets, in ``_subsets`` order; check the limit."""
+    family = _family(fw)
+    admissible = [m for m, s in family.items() if is_c_admissible(fw, s)]
+    return tuple(map(family.get, _maximal_masks(admissible)))
+
+
 def enumerate_c_preferred(fw: Framework, limit: int = SIZE_LIMIT_DEFAULT) -> list:
     """Subset-maximal coalition-admissible sets, by exhaustive enumeration,
     in ``_subsets`` order."""
-    return _maximal(enumerate_c_admissible(fw, limit))
+    _check_limit(fw, limit)
+    return list(_c_preferred(fw))

@@ -1,15 +1,13 @@
-import functools
 from pathlib import Path
 
 import pytest
 
+import brute_memo
 from ceaf import (
-    Arg,
     io_doc,
     is_c_admissible,
     is_conflict_eliminable,
     is_one_directionally_attacked,
-    oracle,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -18,39 +16,8 @@ FIXTURE_FILES = sorted((ROOT / "fixtures").glob("*.json"))
 _ACCEPTANCE_RESULTS = {}
 
 
-def memoise_brute(fn):
-    """``fn`` answering each question once per test session.  The key is the
-    framework object's id with the arguments, each set-like one as a
-    frozenset; every entry holds its framework, so no id is reused while the
-    table lives.  A list answer comes back as a fresh copy; a call that raises
-    stores nothing."""
-    table = {}
-
-    @functools.wraps(fn)
-    def memo(fw, *args, **kwargs):
-        canon = tuple(a if isinstance(a, (Arg, str)) else frozenset(a) for a in args)
-        key = (id(fw), canon, tuple(sorted(kwargs.items())))
-        try:
-            answer = table[key][1]
-        except KeyError:
-            answer = fn(fw, *canon, **kwargs)
-            table[key] = (fw, answer)
-        return list(answer) if isinstance(answer, list) else answer
-
-    memo.table = table
-    return memo
-
-
-# The oracle transcribes the definitions with no caching and calls itself
-# through module globals, so one query re-derives the same brute answers many
-# times over; wrapping them here, from outside, keeps ``oracle.py`` cache-free.
-BRUTE = sorted(
-    name
-    for name in vars(oracle)
-    if name.startswith("brute_") or name in ("_brute_rank", "_brute_undefeated")
-)
-for _name in BRUTE:
-    setattr(oracle, _name, memoise_brute(getattr(oracle, _name)))
+# every brute answer is computed once per test session
+brute_memo.install()
 
 
 def load_fixture(name):

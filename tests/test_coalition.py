@@ -1,4 +1,5 @@
 import gc
+import inspect
 import weakref
 
 import pytest
@@ -333,6 +334,10 @@ def test_memoised_queries_accept_any_iterable(query):
         )
         answers = [query(fw, form, *rest) for form in forms]
         assert all(answer == answers[0] for answer in answers), names
+    if query is attackers:
+        # asked once per argument by the coalition records, which keep the masks
+        assert query not in fw._memo
+        return
     if query in (semantics.is_c_admissible, is_one_directionally_attacked):
         # plain reads of the memoised state rank, which keeps the keys
         assert query not in fw._memo
@@ -511,9 +516,10 @@ def test_family_walk_matches_powerset_walk(make):
 def test_profitable_holds_is_the_verdict(name):
     fw = load_fixture(name)
     family = semantics.enumerate_conflict_eliminable(fw)
+    growth, mask = coalition._growth(fw), semantics._masks(fw).mask
     for first in family:
         for second in family:
-            assert coalition._profitable_holds(fw, first, second) == (
+            assert growth.holds(fw, mask(first), mask(second)) == (
                 profitable(fw, first, second).holds
             ), (first, second)
 
@@ -522,14 +528,35 @@ def test_max_sets_visits_only_the_conflict_eliminable_supersets(monkeypatch):
     fw = load_fixture("seven")
     base = by_ids(fw, "a2")
     calls = []
-    holds = coalition._profitable_holds
+    holds = coalition._Growth.holds
 
-    def counted(fw, first, second):
+    def counted(growth, fw, first, second):
         calls.append((first, second))
-        return holds(fw, first, second)
+        return holds(growth, fw, first, second)
 
-    monkeypatch.setattr(coalition, "_profitable_holds", counted)
+    monkeypatch.setattr(coalition._Growth, "holds", counted)
     max_sets(fw, base)
+    masks = semantics._masks(fw)
     supersets = [s for s in semantics.enumerate_conflict_eliminable(fw) if base <= s]
     assert len(calls) <= len(supersets) < 2 ** (len(fw.arguments) - 1)
-    assert {second for _, second in calls} <= set(supersets)
+    assert {masks.members(second) for _, second in calls} <= set(supersets)
+
+
+def test_limit_free_queries_never_walk_the_family(monkeypatch):
+    # 40 arguments, far past any size limit: profitable, undefeated_external
+    # and attackers take no limit, so they answer from the coalition records
+    # without enumerating the conflict-eliminable family
+    fw = generate_random(RandomModelSpec(40, (1, 4), 0.1, "sum", 3))
+    monkeypatch.setattr(semantics, "_grow", lambda *_: pytest.fail("family walk"))
+    args = sorted(fw.arguments)
+    for a, b in zip(args[:30:3], args[1:30:3]):
+        first, second = frozenset({a}), frozenset({a, b})
+        assert attackers(fw, first) <= attackers(fw, second)
+        verdict = profitable(fw, first, second)
+        assert verdict.attacker_counts == (
+            undefeated_external(fw, first, first),
+            undefeated_external(fw, first, second),
+        )
+        assert not profitable(fw, second, first).larger_set
+    for walk in (semantics._family, semantics._conflict_eliminable_sets):
+        assert inspect.unwrap(walk) not in fw._memo

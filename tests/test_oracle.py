@@ -11,7 +11,8 @@ from ceaf import (
 )
 from ceaf import FORMABILITY_KINDS, coalition, oracle, semantics
 from ceaf.core import _subsets
-from conftest import BRUTE, by_ids, load_fixture
+from brute_memo import BRUTE
+from conftest import FIXTURE_FILES, by_ids, load_fixture
 
 FIXTURE_NAMES = ("ldp", "seven", "asym", "disc")
 
@@ -212,6 +213,24 @@ def test_max_profitable_matches_brute_force(request, random_models):
                     assert coalition.max_profitable(fw, s1, s2) == (
                         oracle.brute_max_profitable(fw, s1, s2)
                     )
+
+
+@pytest.mark.parametrize("name", [path.stem for path in FIXTURE_FILES])
+def test_shared_basis_matches_brute_force(request, name):
+    # the f criterion measured against the shared base: every nonempty family
+    # base against each of its family supersets, and WS and S from that base
+    fw = request.getfixturevalue(name.replace("-", "_"))
+    family = semantics.enumerate_conflict_eliminable(fw)
+    for base in family[1:]:
+        for sup in family:
+            if base <= sup:
+                assert coalition.max_profitable(fw, base, sup, "shared") == (
+                    oracle.brute_max_profitable(fw, base, sup, "shared")
+                ), (base, sup)
+        for kind in ("WS", "S"):
+            assert list(
+                coalition.formability(fw, kind, base, "shared").partners
+            ) == oracle.brute_formability(fw, kind, base, "shared"), (kind, base)
 
 
 @pytest.mark.parametrize("policy", ["strict", "persist"])
