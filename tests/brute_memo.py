@@ -43,11 +43,9 @@ def memoise_brute(fn):
 
 
 def install() -> None:
-    """Wrap each brute function of ``ceaf.oracle`` in a memo, once."""
+    """Wrap each brute function of ``ceaf.oracle`` in a memo."""
     for name in BRUTE:
-        fn = getattr(oracle, name)
-        if not hasattr(fn, "table"):
-            setattr(oracle, name, memoise_brute(fn))
+        setattr(oracle, name, memoise_brute(getattr(oracle, name)))
 
 
 def clear() -> None:
