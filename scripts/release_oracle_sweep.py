@@ -11,8 +11,11 @@ diff; on those it also compares attack strength and attack on every attacker
 set drawn from the instances the table names, two instances of one
 identifier included.  It runs the reduction check on 200 seeded defeat-only
 frameworks of 3-8 arguments, where each violation it reports counts as a
-diff.  Maximal profitability and formability are compared under both fewer
-bases.  The brute functions answer through the memo of the test session
+diff.  On six seeded random frameworks of 9 and 10 arguments, past the
+brute guard, it compares conflict-eliminability, intrinsic arguments and the
+state rank on every subset, and the c-preferred family.  Maximal
+profitability and formability are compared under both fewer bases.  The
+brute functions answer through the memo of the test session
 (``tests/brute_memo.py``), emptied after each framework.  Slow by design (run
 before a release, not in the regular test loop); prints one line per
 framework and a final verdict.
@@ -40,6 +43,8 @@ from ceaf.core import _subsets
 # as in tests/test_properties.py; the fixtures are left out, since `seven`
 # breaks P1 and P4 by design
 UNIVERSAL_THEOREMS = ("L1", "P1", "P2", "P4", "P5", "P6", "T2", "T3", "T10")
+# generated frameworks of 9 and 10 arguments, past the brute guard
+LARGE_SEEDS = 6
 
 
 def frameworks():
@@ -62,6 +67,15 @@ def frameworks():
     for seed in range(200):
         fw = oracle.generate_random_restricted(3 + seed % 6, 0.1 + seed % 5 * 0.1, seed)
         yield f"reduction-seed{seed}", fw, check_reduction_violations
+    for seed in range(LARGE_SEEDS):
+        spec = RandomModelSpec(
+            argument_count=9 + seed % 2,
+            capacity_range=(1, 4),
+            attack_density=0.2 + (seed % 3) * 0.05,
+            aggregator="sum" if seed % 2 else "max",
+            seed=seed,
+        )
+        yield f"large-seed{seed}", generate_random(spec), check_large
 
 
 def check(name, fw):
@@ -139,6 +153,30 @@ def check(name, fw):
                     coalition.formability(fw, kind, s1, basis).partners
                 ) != oracle.brute_formability(fw, kind, s1, basis):
                     problems.append(("formability", kind, basis, s1))
+    return problems
+
+
+def check_large(name, fw):
+    """Past the brute guard's 8 arguments: conflict-eliminability, intrinsic
+    arguments and state rank on every subset, and the c-preferred family
+    against the maximal brute c-admissible sets (``brute_c_preferred`` itself
+    refuses more than 8 arguments)."""
+    problems, admissible = [], []
+    for s in _subsets(fw.arguments, include_empty=True):
+        mine = semantics.is_conflict_eliminable(fw, s)
+        if mine != oracle.brute_conflict_eliminable(fw, s):
+            problems.append(("conflict-eliminable", s))
+        if not mine:
+            continue
+        if semantics.intrinsic(fw, s) != oracle.brute_alpha(fw, s):
+            problems.append(("intrinsic", s))
+        if semantics.state_rank(fw, s) != oracle._brute_rank(fw, s):
+            problems.append(("state-rank", s))
+        if oracle.brute_c_admissible(fw, s):
+            admissible.append(s)
+    preferred = [s for s in admissible if not any(s < t for t in admissible)]
+    if semantics.enumerate_c_preferred(fw) != preferred:
+        problems.append(("c-preferred",))
     return problems
 
 

@@ -205,31 +205,21 @@ def _dispatch(args) -> int:
         vw = semantics.view(fw, base)
         for note in vw.diagnostics:
             print(f"warning: {note}", file=sys.stderr)
-        edges = [
-            ([[a.id, a.capacity] for a in sorted(attackers)], target, v)
-            for attackers, target, v in dot.minimal_attacks(
-                fw, vw.arguments, vw.base
-            )
-        ]
+        edges = dot.minimal_attacks(fw, vw.arguments, vw.base)
         payload = {
             "base": _json_set(base),
             "intrinsic": _json_set(vw.alpha),
             "arguments": _json_set(vw.arguments),
             "attacks": [
-                {"from": froms, "to": [t.id, t.capacity], "strength": v}
-                for froms, t, v in edges
+                {"from": _json_set(s), "to": [t.id, t.capacity], "strength": v}
+                for s, t, v in edges
             ],
             "diagnostics": list(vw.diagnostics),
         }
         lines = [
             f"intrinsic: {_fmt(vw.alpha)}",
             f"arguments: {_fmt(vw.arguments)}",
-        ] + [
-            "attack: {"
-            + ", ".join(f"{i}({c})" for i, c in froms)
-            + f"}} -> {t} [{v}]"
-            for froms, t, v in edges
-        ]
+        ] + [f"attack: {_fmt(s)} -> {t} [{v}]" for s, t, v in edges]
         _emit(args, payload, lines)
         return EXIT_OK
 

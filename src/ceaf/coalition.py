@@ -20,9 +20,9 @@ from typing import Iterable, Literal
 from . import FEWER_BASES, FORMABILITY_KINDS
 from .core import Arg, Framework, NotConflictEliminable, SIZE_LIMIT_DEFAULT
 from .core import _bits, _check_limit, _fmt, _masks, _maximal_masks, _memoised
-from .semantics import _family, attacks, c_defeats, state_rank
+from .semantics import _family, _rank, attacks, c_defeats
 from .semantics import enumerate_c_preferred, is_conflict_eliminable
-from .semantics import StateRank, is_one_directionally_attacked  # importable from here
+from .semantics import StateRank, is_one_directionally_attacked, state_rank  # re-exported
 
 Criterion = Literal["l", "b", "f"]
 FewerBasis = Literal["own", "shared"]
@@ -31,21 +31,14 @@ FormabilityKind = Literal["W", "M", "WS", "S"]
 
 class _Growth:
     """A framework's coalition records, keyed by mask and filled on first
-    use: the state rank (-1 off the conflict-eliminable family), the attacker
-    mask, the base arguments whose c-defeat is known with those c-defeated,
-    and the profit-maximal supersets, which walk the family: callers check
-    the size limit first.  Like ``_Masks`` it holds no framework, whose memo
-    holds it; the methods take one."""
+    use: the attacker mask, the base arguments whose c-defeat is known with
+    those c-defeated, and the profit-maximal supersets, which walk the
+    family: callers check the size limit first.  State ranks are read from
+    the mask context's table (``semantics._rank``).  Like ``_Masks`` it holds
+    no framework, whose memo holds it; the methods take one."""
 
     def __init__(self, masks):
-        self.masks, self.ranks, self.att, self.beat, self.maxes = masks, {}, {}, {}, {}
-
-    def rank(self, fw: Framework, m: int) -> int:
-        r = self.ranks.get(m)
-        if r is None:
-            s = self.masks.members(m)
-            r = self.ranks[m] = state_rank(fw, s) if is_conflict_eliminable(fw, s) else -1
-        return r
+        self.masks, self.att, self.beat, self.maxes = masks, {}, {}, {}
 
     def attacker_mask(self, fw: Framework, m: int) -> int:
         """The union of the members' ``attackers``, each asked once."""
@@ -75,13 +68,13 @@ class _Growth:
         """``profitable(...).holds``, stopping at its first failing clause."""
         return (
             not first & ~second
-            and 0 <= self.rank(fw, first) <= self.rank(fw, second)
+            and 0 <= _rank(self.masks, first) <= _rank(self.masks, second)
             and self.undefeated(fw, first, first) >= self.undefeated(fw, first, second)
         )
 
     def score(self, fw: Framework, m: int, base: int) -> tuple:
         """Size, state rank and minus the attackers of ``base`` left undefeated."""
-        return m.bit_count(), self.rank(fw, m), -self.undefeated(fw, base, m)
+        return m.bit_count(), _rank(self.masks, m), -self.undefeated(fw, base, m)
 
     def max_sets(self, fw: Framework, m: int) -> list:
         """The profit-maximal supersets of ``m``, in family order."""
@@ -116,7 +109,7 @@ def state_leq(fw: Framework, first: Iterable[Arg], second: Iterable[Arg]) -> boo
     """Is the second set in at least as good a state as the first?  False
     unless both sets are conflict-eliminable."""
     g, f, s = _on_masks(fw, first, second)
-    return 0 <= g.rank(fw, f) <= g.rank(fw, s)
+    return 0 <= _rank(g.masks, f) <= _rank(g.masks, s)
 
 
 def coalition_permitted(
@@ -168,7 +161,7 @@ def profitable(
     must hold: containment, state, and no increase in the base set's
     undefeated external attackers."""
     g, f, s = _on_masks(fw, first, second)
-    larger, better = not f & ~s, 0 <= g.rank(fw, f) <= g.rank(fw, s)
+    larger, better = not f & ~s, 0 <= _rank(g.masks, f) <= _rank(g.masks, s)
     before, after = g.undefeated(fw, f, f), g.undefeated(fw, f, s)
     fewer = before >= after
     holds = larger and better and fewer
@@ -226,7 +219,7 @@ def crit_leq(
     if beta == "f":
         _check_basis(fewer_basis)
     g, f, s, shared = _on_masks(fw, first, second, shared_base)
-    if beta != "l" and min(g.rank(fw, f), g.rank(fw, s)) < 0:
+    if beta != "l" and min(_rank(g.masks, f), _rank(g.masks, s)) < 0:
         raise NotConflictEliminable("criteria b/f compare conflict-eliminable sets")
     score = lambda x: g.score(fw, x, x if fewer_basis == "own" else shared)
     return score(f)["lbf".index(beta)] <= score(s)["lbf".index(beta)]

@@ -339,11 +339,10 @@ _MISSING = object()
 
 
 def _memoised(fn):
-    """Memoise ``fn(fw, *key)`` in ``fw``'s own table for ``fn``.  Stored keys
-    are canonical: each argument that is not an ``Arg`` is a frozenset.  A hit
-    on a canonical key is one lookup; any other key (a list, a set, a
-    generator) is canonicalised on the miss, and ``fn`` receives the canonical
-    arguments.  A call that raises stores nothing."""
+    """Memoise ``fn(fw, *sets)`` in ``fw``'s own table for ``fn``, keyed by
+    frozensets.  A hit on such a key is one lookup; any other key (a list, a
+    set, a generator) is canonicalised on the miss, and ``fn`` receives the
+    frozensets.  A call that raises stores nothing."""
 
     @functools.wraps(fn)
     def memo(fw: Framework, *key):
@@ -353,7 +352,7 @@ def _memoised(fn):
         except TypeError:  # an unhashable list or set
             value = _MISSING
         if value is _MISSING:
-            key = tuple([k if isinstance(k, Arg) else frozenset(k) for k in key])
+            key = tuple(map(frozenset, key))
             value = table.get(key, _MISSING)
             if value is _MISSING:
                 value = table[key] = fn(fw, *key)
@@ -374,14 +373,16 @@ class _Masks:
     instance the next free bit when first met.  Per target it keeps the mask
     of the instances that resolve alone and their strengths, the masks of the
     listed keys, the identifier tuples of the persist projections, and
-    ``StrengthModel.strength`` memoised by attacker mask.  It holds the model,
-    not the framework, whose memo holds it."""
+    ``StrengthModel.strength`` memoised by attacker mask; per coalition mask,
+    ``ce``, ``alpha`` and ``ranks`` (filled by ``semantics``).  It holds the
+    model, not the framework, whose memo holds it."""
 
     def __init__(self, model: StrengthModel, arguments):
         self.model, self.args, self.records = model, [], []
-        self.bits, self.id_masks = {}, {}
+        self.bits, self.id_masks, self.ce, self.alpha, self.ranks = {}, {}, {}, {}, {}
         for a in sorted(arguments):
             self.bit(a)
+        self.base = (1 << len(self.args)) - 1
 
     def bit(self, a: Arg) -> int:
         b = self.bits.get(a)
@@ -513,6 +514,22 @@ class _Masks:
             if mask >> i & 1
         )
 
+    def eliminable(self, mask: int) -> bool:
+        """``conflict_eliminable``, memoised in ``ce``."""
+        if (ce := self.ce.get(mask)) is None:
+            ce = self.ce[mask] = self.conflict_eliminable(mask)
+        return ce
+
+    def intrinsic(self, mask: int) -> int:
+        """The intrinsic arguments of the conflict-eliminable ``mask``, each
+        member less the strongest attack on it from ``mask``, memoised in ``alpha``."""
+        if (alpha := self.alpha.get(mask)) is None:
+            alpha = self.alpha[mask] = self.mask([
+                a.with_capacity(a.capacity - self.best(self.record(i), mask))
+                for i, a in enumerate(self.args[: mask.bit_length()]) if mask >> i & 1
+            ])
+        return alpha
+
 
 @_memoised
 def _masks(fw: Framework) -> _Masks:
@@ -526,10 +543,10 @@ def instantiated_closure(fw: Framework) -> frozenset:
     arises as an intrinsic argument of some conflict-eliminable subset."""
     from . import semantics  # deferred; semantics depends on core
 
-    closure = set(fw.arguments) | set(fw.strengths.instances())
-    for subset in semantics._conflict_eliminable_sets(fw):
-        closure.update(semantics.intrinsic(fw, subset))
-    return frozenset(closure)
+    masks, alpha = _masks(fw), 0
+    for m in semantics._family(fw):
+        alpha |= masks.intrinsic(m)
+    return fw.arguments | fw.strengths.instances() | masks.members(alpha)
 
 
 def validate_axioms(fw: Framework, max_domain: int = 24) -> ValidationReport:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import Arg, Framework, NotConflictEliminable, SIZE_LIMIT_DEFAULT, StrengthModel
-from .core import _check_limit, _fmt, _grow, _masks, _maximal_masks, _memoised
+from .core import _Masks, _bits, _check_limit, _fmt, _grow, _masks, _maximal_masks, _memoised
 
 
 def max_attack_strength(fw: Framework, attackers: Iterable[Arg], target: Arg) -> int:
@@ -38,29 +38,23 @@ def attacks(fw: Framework, attackers: Iterable[Arg], target: Arg) -> bool:
 def defeats(fw: Framework, attackers: Iterable[Arg], target: Arg) -> bool:
     """An attack defeats its target when its strength reaches the target's
     capacity."""
-    attackers = frozenset(attackers)
-    if not attackers:
-        return False
-    return max_attack_strength(fw, attackers, target) >= target.capacity
+    return 0 < max_attack_strength(fw, attackers, target) >= target.capacity
 
 
-@_memoised
 def is_conflict_eliminable(fw: Framework, subset: Iterable[Arg]) -> bool:
     """No member of the set is defeated by the set itself."""
     masks = _masks(fw)
-    return masks.conflict_eliminable(masks.mask(subset))
+    return masks.eliminable(masks.mask(subset))
 
 
-@_memoised
 def intrinsic(fw: Framework, subset: Iterable[Arg]) -> frozenset:
     """The intrinsic arguments of a conflict-eliminable set: each member's
     capacity reduced by the strongest internal attack on it."""
-    if not is_conflict_eliminable(fw, subset):
-        raise NotConflictEliminable(_fmt(subset))
-    return frozenset(
-        s.with_capacity(s.capacity - max_attack_strength(fw, subset, s))
-        for s in subset
-    )
+    masks = _masks(fw)
+    m = masks.mask(subset)
+    if not masks.eliminable(m):
+        raise NotConflictEliminable(_fmt(masks.members(m)))
+    return masks.members(masks.intrinsic(m))
 
 
 @dataclass(frozen=True)
@@ -85,7 +79,6 @@ class View:
 def view(fw: Framework, subset: Iterable[Arg]) -> View:
     """The view a conflict-eliminable coalition has of the framework."""
     alpha = intrinsic(fw, subset)
-    args = (fw.arguments - subset) | alpha
     # Residual attacks from weakened intrinsic arguments back onto original
     # members survive the deletion of purely internal attacks; surface them.
     masks, diagnostics = _masks(fw), []
@@ -98,33 +91,31 @@ def view(fw: Framework, subset: Iterable[Arg]) -> View:
                 f"residual attack from intrinsic arguments {_fmt(cand)} "
                 f"onto coalition member {target}"
             )
-    return View(fw.strengths, subset, alpha, frozenset(args), tuple(diagnostics))
+    return View(fw.strengths, subset, alpha, fw.arguments - subset | alpha, tuple(diagnostics))
 
 
-def _view_strongest(fw: Framework, subset: frozenset, target: Arg) -> int:
-    """The largest strength a subset of the intrinsic arguments of ``subset``
-    has on ``target`` in its view, ``View.strength``'s rule as a mask test; 0
-    when ``subset`` is not conflict-eliminable."""
-    if not is_conflict_eliminable(fw, subset):
-        return 0
-    masks = _masks(fw)
-    drop = masks.mask(subset) if target in subset else 0
-    return masks.best(masks.target(target), masks.mask(intrinsic(fw, subset)), drop)
+def _view_strongest(masks: _Masks, m: int, b: int) -> int:
+    """The largest strength a subset of the intrinsic arguments of ``m`` has
+    on the instance of bit ``b`` in the coalition's view, ``View.strength``'s
+    rule as a mask test (on a member, subsets inside ``m`` do not count); 0
+    when ``m`` is not conflict-eliminable."""
+    rec, drop = masks.record(b.bit_length() - 1), m if m & b else 0
+    return masks.best(rec, masks.intrinsic(m), drop) if masks.eliminable(m) else 0
 
 
 def c_attacks(fw: Framework, subset: Iterable[Arg], target: Arg) -> bool:
     """Does some subset of the coalition's intrinsic arguments carry a defined
     strength against ``target`` inside the coalition's view?  False when the
     coalition is not conflict-eliminable."""
-    return _view_strongest(fw, frozenset(subset), target) > 0
+    masks = _masks(fw)
+    return _view_strongest(masks, masks.mask(subset), masks.bit(target)) > 0
 
 
-@_memoised
 def c_defeats(fw: Framework, subset: Iterable[Arg], target: Arg) -> bool:
     """As ``c_attacks`` but requiring view strength at least the target's
     capacity."""
-    best = _view_strongest(fw, subset, target)
-    return 0 < best and best >= target.capacity
+    masks = _masks(fw)
+    return 0 < _view_strongest(masks, masks.mask(subset), masks.bit(target)) >= target.capacity
 
 
 class StateRank(enum.IntEnum):
@@ -135,26 +126,37 @@ class StateRank(enum.IntEnum):
     CADMISSIBLE = 2
 
 
-@_memoised
-def state_rank(fw: Framework, subset: Iterable[Arg]) -> StateRank:
-    """The state of a conflict-eliminable coalition, from one walk over the
-    minimal attacking sets on its members in its view: the first set with no
-    element the coalition c-attacks makes it one-directionally attacked (a
-    c-defeat is a c-attack), else one with no c-defeated element the middle
-    state, else it is coalition-admissible."""
-    if not is_conflict_eliminable(fw, subset):
-        raise NotConflictEliminable(_fmt(subset))
-    masks = _masks(fw)
-    base, rank = masks.mask(subset), StateRank.CADMISSIBLE
-    # the sorted arguments hold the low bits, so the members come in order
-    pool = (1 << len(fw.arguments)) - 1 & ~base | masks.mask(intrinsic(fw, subset))
-    for i in range(base.bit_length()):
-        for m in masks.minimal(masks.record(i), pool, base) if base >> i & 1 else ():
-            got = [(_view_strongest(fw, subset, x), x.capacity) for x in masks.members(m)]
+def _rank(masks: _Masks, m: int) -> int:
+    """The state rank of ``m`` (``_walk``), -1 off the family, memoised in ``masks.ranks``."""
+    rank = masks.ranks.get(m)
+    if rank is None:
+        rank = masks.ranks[m] = _walk(masks, m) if masks.eliminable(m) else -1
+    return rank
+
+
+def _walk(masks: _Masks, m: int) -> StateRank:
+    """One walk over the minimal attacking sets on the members of ``m`` in its
+    view: the first set with no element the coalition c-attacks makes it
+    one-directionally attacked (a c-defeat is a c-attack), else one with no
+    c-defeated element the middle state, else it is coalition-admissible."""
+    pool, rank = masks.base & ~m | masks.intrinsic(m), StateRank.CADMISSIBLE
+    for b in _bits(m):
+        for att in masks.minimal(masks.record(b.bit_length() - 1), pool, m):
+            got = [(_view_strongest(masks, m, x), masks.args[x.bit_length() - 1].capacity)
+                   for x in _bits(att)]
             if not any(v > 0 for v, _ in got):
                 return StateRank.ONE_DIRECTIONAL
             if not any(0 < v >= c for v, c in got):
                 rank = StateRank.MIDDLE
+    return rank
+
+
+def state_rank(fw: Framework, subset: Iterable[Arg]) -> StateRank:
+    """The state of a conflict-eliminable coalition (see ``_walk``)."""
+    masks = _masks(fw)
+    m = masks.mask(subset)
+    if (rank := _rank(masks, m)) < 0:
+        raise NotConflictEliminable(_fmt(masks.members(m)))
     return rank
 
 
@@ -168,9 +170,8 @@ def is_c_admissible(fw: Framework, subset: Iterable[Arg]) -> bool:
     """The coalition defends every original member: each attacking set in its
     view contains an element the coalition defeats from its intrinsic
     arguments.  False when the set is not conflict-eliminable."""
-    subset = frozenset(subset)
-    ce = is_conflict_eliminable(fw, subset)
-    return ce and state_rank(fw, subset) == StateRank.CADMISSIBLE
+    masks = _masks(fw)
+    return _rank(masks, masks.mask(subset)) == StateRank.CADMISSIBLE
 
 
 @_memoised
@@ -181,6 +182,7 @@ def _family(fw: Framework) -> dict:
     of S, so the family is downward closed.  Callers check the size limit."""
     masks = _masks(fw)  # the sorted arguments hold the low bits, as in ``_subsets``
     found = _grow(len(fw.arguments), masks.conflict_eliminable)
+    masks.ce.update(dict.fromkeys(found, True))
     return dict(zip(found, map(masks.members, found)))
 
 
@@ -189,9 +191,7 @@ def _conflict_eliminable_sets(fw: Framework) -> tuple:
     return tuple(_family(fw).values())
 
 
-def enumerate_conflict_eliminable(
-    fw: Framework, limit: int = SIZE_LIMIT_DEFAULT
-) -> list:
+def enumerate_conflict_eliminable(fw: Framework, limit: int = SIZE_LIMIT_DEFAULT) -> list:
     _check_limit(fw, limit)
     return list(_conflict_eliminable_sets(fw))
 
@@ -204,8 +204,8 @@ def enumerate_c_admissible(fw: Framework, limit: int = SIZE_LIMIT_DEFAULT) -> li
 @_memoised
 def _c_preferred(fw: Framework) -> tuple:
     """The subset-maximal c-admissible sets, in ``_subsets`` order; check the limit."""
-    family = _family(fw)
-    admissible = [m for m, s in family.items() if is_c_admissible(fw, s)]
+    family, masks = _family(fw), _masks(fw)
+    admissible = [m for m in family if _rank(masks, m) == StateRank.CADMISSIBLE]
     return tuple(map(family.get, _maximal_masks(admissible)))
 
 

@@ -14,7 +14,6 @@ P1 reads the closure's resolved strength table, whose pairs come in the
 order its reference probes every id-unique subset against every target.
 """
 
-import inspect
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -275,16 +274,16 @@ def test_T3_reports_the_first_union_without_a_preferred_witness(monkeypatch):
 
 def test_checkers_decide_admissibility_once_per_set():
     # 92 of the 256 subsets are conflict-eliminable; each one's state is
-    # decided once, into the memoised rank, and no subset outside the family
-    # is probed
+    # decided once, into the mask context's rank table, and no subset outside
+    # the family is probed
     fw = generate_random(RandomModelSpec(8, (1, 4), 0.25, "sum", 1))
     family = semantics._conflict_eliminable_sets(fw)
     for theorem in ("T3", "T4", "P6", "T10"):
         check_theorem(fw, theorem)
-    decided = fw._memo.get(inspect.unwrap(semantics.state_rank), {})
-    assert 0 < len(decided) <= len(family) < 256
-    probed = fw._memo.get(inspect.unwrap(semantics.is_conflict_eliminable), {})
-    assert len(probed) <= len(family)
+    masks = semantics._masks(fw)
+    assert 0 < len(masks.ranks) <= len(family) < 256
+    assert 0 < len(masks.ce) <= len(family)
+    assert all(masks.ce.values())
 
 
 def test_P5_compares_engine_answers_with_the_view(monkeypatch):

@@ -396,10 +396,8 @@ def test_validate_axioms_checks_table_instances_before_the_closure(monkeypatch):
     entries = {(frozenset([x.with_capacity(c)]), y): 1 for c in range(1, 26)}
     fw = Framework.build([x, y], entries)
     walks = []
-    walk = semantics._conflict_eliminable_sets
-    monkeypatch.setattr(
-        semantics, "_conflict_eliminable_sets", lambda fw: walks.append(fw) or walk(fw)
-    )
+    walk = semantics._family
+    monkeypatch.setattr(semantics, "_family", lambda fw: walks.append(fw) or walk(fw))
     with pytest.raises(SizeLimitExceeded, match="27 instances"):
         validate_axioms(fw)
     assert walks == []

@@ -366,8 +366,9 @@ def test_check_reduction_compares_families_without_views():
     fw = generate_random_restricted(12, 0.2, 1)
     assert check_reduction(fw).ok
     family = semantics._conflict_eliminable_sets(fw)
-    probed = fw._memo.get(inspect.unwrap(semantics.is_conflict_eliminable), {})
-    assert len(probed) <= len(family) < 4096
+    probed = semantics._masks(fw).ce
+    assert 0 < len(probed) <= len(family) < 4096
+    assert all(probed.values())
     assert not fw._memo.get(inspect.unwrap(semantics.view))
 
 

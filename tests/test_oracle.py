@@ -147,11 +147,22 @@ def test_coalition_attacks_match_brute_force(request, random_models):
 
 
 def test_c_admissible_matches_brute_force(request, random_models):
+    # the full state rank too: admissibility alone cannot tell a
+    # one-directionally attacked set from one in the middle state
     for fw in all_fixtures(request) + random_models:
+        args = sorted(fw.arguments)
         for subset in _subsets(fw.arguments, include_empty=True):
             assert semantics.is_c_admissible(fw, subset) == (
                 oracle.brute_c_admissible(fw, subset)
             ), (fw, subset)
+            if semantics.is_conflict_eliminable(fw, subset):
+                assert semantics.state_rank(fw, subset) == (
+                    oracle._brute_rank(fw, subset)
+                ), (fw, subset)
+                for target in args:
+                    assert semantics.c_attacks(fw, subset, target) == (
+                        oracle.brute_c_attacks(fw, subset, target)
+                    ), (fw, subset, target)
 
 
 def test_c_preferred_matches_brute_force(request, random_models):
@@ -256,7 +267,13 @@ def test_group_entries_match_brute_force(aggregator, policy, seed):
         if ce:
             assert all(sub in family for sub in _subsets(subset))
             assert semantics.intrinsic(fw, subset) == oracle.brute_alpha(fw, subset)
+            assert semantics.state_rank(fw, subset) == (
+                oracle._brute_rank(fw, subset)
+            ), subset
             for target in args:
+                assert semantics.c_attacks(fw, subset, target) == (
+                    oracle.brute_c_attacks(fw, subset, target)
+                ), (subset, target)
                 assert semantics.c_defeats(fw, subset, target) == (
                     oracle.brute_c_defeats(fw, subset, target)
                 ), (subset, target)
@@ -348,3 +365,11 @@ def test_check_theorem_unknown_id(ldp):
 def test_theorem_witness_fixtures(asym, disc):
     assert check_theorem(asym, "T7").verdict
     assert check_theorem(disc, "T8").verdict
+
+
+def test_defeat_needs_an_attack_on_a_capacity_zero_target():
+    # no subset of {x} attacks y, so nothing defeats it, whatever its capacity
+    x, y = Arg("x", 1), Arg("y", 0)
+    fw = Framework.build([x, y], {})
+    assert not semantics.defeats(fw, {x}, y)
+    assert not oracle.brute_defeats(fw, {x}, y)
