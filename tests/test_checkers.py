@@ -14,7 +14,6 @@ P1 reads the closure's resolved strength table, whose pairs come in the
 order its reference probes every id-unique subset against every target.
 """
 
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
