@@ -13,7 +13,9 @@ identifier included.  It runs the reduction check on 200 seeded defeat-only
 frameworks of 3-8 arguments, where each violation it reports counts as a
 diff.  On six seeded random frameworks of 9 and 10 arguments, past the
 brute guard, it compares conflict-eliminability, intrinsic arguments and the
-state rank on every subset, and the c-preferred family.  Maximal
+state rank on every subset, both enumerations (conflict-eliminable and
+c-admissible) as lists in subset order against the brute filters, and the
+c-preferred family.  Maximal
 profitability and formability are compared under both fewer bases.  The
 brute functions answer through the memo of the test session
 (``tests/brute_memo.py``), emptied after each framework.  Slow by design (run
@@ -158,22 +160,29 @@ def check(name, fw):
 
 def check_large(name, fw):
     """Past the brute guard's 8 arguments: conflict-eliminability, intrinsic
-    arguments and state rank on every subset, and the c-preferred family
+    arguments and state rank on every subset, both enumerations as lists in
+    ``_subsets`` order against the brute filters, and the c-preferred family
     against the maximal brute c-admissible sets (``brute_c_preferred`` itself
     refuses more than 8 arguments)."""
-    problems, admissible = [], []
+    problems, family, admissible = [], [], []
     for s in _subsets(fw.arguments, include_empty=True):
         mine = semantics.is_conflict_eliminable(fw, s)
         if mine != oracle.brute_conflict_eliminable(fw, s):
             problems.append(("conflict-eliminable", s))
+        if oracle.brute_conflict_eliminable(fw, s):
+            family.append(s)
+        if oracle.brute_c_admissible(fw, s):
+            admissible.append(s)
         if not mine:
             continue
         if semantics.intrinsic(fw, s) != oracle.brute_alpha(fw, s):
             problems.append(("intrinsic", s))
         if semantics.state_rank(fw, s) != oracle._brute_rank(fw, s):
             problems.append(("state-rank", s))
-        if oracle.brute_c_admissible(fw, s):
-            admissible.append(s)
+    if semantics.enumerate_conflict_eliminable(fw) != family:
+        problems.append(("conflict-eliminable family",))
+    if semantics.enumerate_c_admissible(fw) != admissible:
+        problems.append(("c-admissible family",))
     preferred = [s for s in admissible if not any(s < t for t in admissible)]
     if semantics.enumerate_c_preferred(fw) != preferred:
         problems.append(("c-preferred",))

@@ -364,7 +364,7 @@ def _memoised(fn):
 class _Target:
     """One target's tables in a ``_Masks`` context."""
 
-    __slots__ = ("target", "resolving", "single", "keys", "projections", "values")
+    __slots__ = ("target", "resolving", "single", "keys", "projections", "reach", "values")
 
 
 class _Masks:
@@ -372,7 +372,9 @@ class _Masks:
     ``int``: the sorted base arguments take the first bits, and every other
     instance the next free bit when first met.  Per target it keeps the mask
     of the instances that resolve alone and their strengths, the masks of the
-    listed keys, the identifier tuples of the persist projections, and
+    listed keys, the identifier tuples of the persist projections, the reach
+    (the keys' instances and every instance of a projection identifier, so
+    every instance a subset with a strength on the target can hold) and
     ``StrengthModel.strength`` memoised by attacker mask; per coalition mask,
     ``ce``, ``alpha`` and ``ranks`` (filled by ``semantics``).  It holds the
     model, not the framework, whose memo holds it."""
@@ -418,16 +420,19 @@ class _Masks:
             persist = self.model.variant_policy == "persist"
             ids = [tuple({a.id for a in k}) for k in listed if persist]
             rec.projections = [s for s, k in zip(ids, listed) if len(s) == len(k)]
+            rec.reach = functools.reduce(int.__or__, rec.keys, 0)
             self.records[i] = rec
             for a, b in self.bits.items():
                 self._note(rec, a, b)
         return rec
 
     def _note(self, rec: _Target, a: Arg, b: int) -> None:
+        if any(a.id in ids for ids in rec.projections):
+            rec.reach |= b
         if a.id in self.model._singleton_ids.get(rec.target, ()):
             v = self.strength(rec, b)
             if v is not None:
-                rec.resolving |= b
+                rec.resolving |= b  # a listed key or a persist projection, so in reach
                 rec.single[b] = v
 
     def strength(self, rec: _Target, mask: int) -> Optional[int]:
@@ -446,6 +451,8 @@ class _Masks:
         with its set, so the one-smaller subsets are tried, once each, only
         below a mask whose fold is above ``best``, which holds the mask's own
         strength: a listed or persist-defined mask below its fold."""
+        if not attackers & rec.reach:
+            return 0
         best, keep, core = 0, ~drop, attackers & rec.resolving
         if core & keep:
             best = max(v for b, v in rec.single.items() if b & core & keep)
@@ -496,6 +503,8 @@ class _Masks:
         target, smallest first; subsets inside ``drop`` do not count.  Every
         larger attacking set contains one.  A set only the fold defines
         contains a resolving singleton, so ``best``'s candidates suffice."""
+        if not pool & rec.reach:
+            return []
         cands = [b for b in rec.single if b & pool & ~drop]
         cands += [k for k in rec.keys if not k & ~pool]
         cands += self._projected(rec, pool)
@@ -506,13 +515,17 @@ class _Masks:
                     kept.append(c)
         return kept
 
-    def conflict_eliminable(self, mask: int) -> bool:
-        """No instance of ``mask`` is defeated by ``mask``."""
-        return not any(
-            self.best(self.records[i] or self.record(i), mask) >= self.args[i].capacity
-            for i in range(mask.bit_length())
-            if mask >> i & 1
-        )
+    def conflict_eliminable(self, mask: int, new: int = 0) -> bool:
+        """No instance of ``mask`` is defeated by ``mask``.  Given ``new``, a bit
+        without which ``mask`` is conflict-eliminable, only its record and those
+        whose reach holds it are read: ``best(rec, A) == best(rec, A & rec.reach)``."""
+        for b in _bits(mask):
+            i = b.bit_length() - 1
+            rec = self.records[i] or self.record(i)
+            if not new or b == new or rec.reach & new:
+                if self.best(rec, mask) >= self.args[i].capacity:
+                    return False
+        return True
 
     def eliminable(self, mask: int) -> bool:
         """``conflict_eliminable``, memoised in ``ce``."""

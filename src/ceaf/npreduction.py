@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Literal
 
 from .core import Framework, SIZE_LIMIT_DEFAULT, ValidationReport, Violation
-from .core import _check_limit, _fmt, _grow, _maximal_masks
+from .core import _check_limit, _fmt, _grow, _masks, _maximal_masks
 from . import NP_KINDS, semantics
 
 NPKind = Literal["conflict-free", "admissible", "preferred"]
@@ -120,11 +120,13 @@ def check_reduction(fw: Framework, limit: int = SIZE_LIMIT_DEFAULT) -> Validatio
     attack to defeat its target, and every entry to name base arguments with
     distinct identifiers, since ``to_np`` forgets capacities; otherwise
     ``PreconditionUnmet``.  The conflict-eliminable and conflict-free families
-    are compared as identifier sets, and the other claims are checked over the
-    conflict-eliminable sets only.  That the view's arguments
-    ``(fw.arguments - s) | alpha`` are the framework's needs no check of its
-    own: where ``alpha == s`` they are ``fw.arguments``, so they can differ
-    only where intrinsic identity already fails for the same ``s``.
+    are compared as identifier sets, and the other claims are checked on the
+    family's masks: the intrinsic mask against the mask, and per base argument
+    one view strength (c-attack and c-defeat) and one attack strength.  That
+    the view's arguments ``(fw.arguments - s) | alpha`` are the framework's
+    needs no check of its own: where ``alpha == s`` they are
+    ``fw.arguments``, so they can differ only where intrinsic identity
+    already fails for the same ``s``.
     """
     if fw.strengths.aggregator != "explicit-only":
         raise PreconditionUnmet("reduction needs an explicit-only strength table")
@@ -146,13 +148,14 @@ def check_reduction(fw: Framework, limit: int = SIZE_LIMIT_DEFAULT) -> Validatio
 
     ids = lambda s: frozenset(a.id for a in s)
     by_id = {a.id: a for a in fw.arguments}
-    ce = {ids(s): s for s in semantics._conflict_eliminable_sets(fw)}
+    masks, family = _masks(fw), semantics._family(fw)
+    ce = {ids(s): m for m, s in family.items()}
     free, admissible, preferred = _plain(to_np(fw))
     free = set(free)
     violations = []
 
     for key in sorted(ce.keys() | free, key=lambda k: (len(k), sorted(k))):
-        s = ce[key] if key in ce else frozenset(by_id[n] for n in sorted(key))
+        s = family[ce[key]] if key in ce else frozenset(map(by_id.get, key))
         if (key in ce) != (key in free):
             violations.append(
                 Violation(
@@ -163,7 +166,8 @@ def check_reduction(fw: Framework, limit: int = SIZE_LIMIT_DEFAULT) -> Validatio
                 )
             )
         if key in ce:
-            if semantics.intrinsic(fw, s) != s:
+            m = ce[key]
+            if masks.intrinsic(m) != m:
                 violations.append(
                     Violation(
                         "intrinsic identity",
@@ -171,10 +175,10 @@ def check_reduction(fw: Framework, limit: int = SIZE_LIMIT_DEFAULT) -> Validatio
                         f"intrinsic arguments of {sorted(key)} differ from it",
                     )
                 )
-            for t in sorted(fw.arguments):
-                ca = semantics.c_attacks(fw, s, t)
-                at = semantics.attacks(fw, s, t)
-                cd = semantics.c_defeats(fw, s, t)
+            for i, t in enumerate(masks.args[: len(fw.arguments)]):
+                v = semantics._view_strongest(masks, m, 1 << i)
+                ca, cd = v > 0, 0 < v >= t.capacity
+                at = masks.best(masks.record(i), m) > 0
                 if ca != at:
                     violations.append(
                         Violation(

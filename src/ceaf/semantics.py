@@ -181,7 +181,8 @@ def _family(fw: Framework) -> dict:
     attack on a member of T from a subset of T is at most that from a subset
     of S, so the family is downward closed.  Callers check the size limit."""
     masks = _masks(fw)  # the sorted arguments hold the low bits, as in ``_subsets``
-    found = _grow(len(fw.arguments), masks.conflict_eliminable)
+    probe = lambda m: masks.conflict_eliminable(m, 1 << m.bit_length() - 1)
+    found = _grow(len(fw.arguments), probe)
     masks.ce.update(dict.fromkeys(found, True))
     return dict(zip(found, map(masks.members, found)))
 
@@ -198,7 +199,8 @@ def enumerate_conflict_eliminable(fw: Framework, limit: int = SIZE_LIMIT_DEFAULT
 
 def enumerate_c_admissible(fw: Framework, limit: int = SIZE_LIMIT_DEFAULT) -> list:
     _check_limit(fw, limit)
-    return [s for s in _conflict_eliminable_sets(fw) if is_c_admissible(fw, s)]
+    masks = _masks(fw)
+    return [s for m, s in _family(fw).items() if _rank(masks, m) == StateRank.CADMISSIBLE]
 
 
 @_memoised

@@ -13,6 +13,7 @@ attacker sets holding two instances of one identifier are checked against the
 brute-force oracle instead.
 """
 
+import functools
 import importlib
 import importlib.util
 import itertools
@@ -24,6 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ceaf import (
+    Arg,
     Framework,
     RandomModelSpec,
     StateRank,
@@ -34,7 +36,12 @@ from ceaf import (
     semantics,
 )
 from ceaf.core import _Masks, _id_unique_subsets, _masks, _subsets
-from ceaf.oracle import brute_conflict_eliminable, brute_defeats, brute_vmax
+from ceaf.oracle import (
+    brute_conflict_eliminable,
+    brute_defeats,
+    brute_vmax,
+    generate_group_entries,
+)
 from conftest import ROOT, by_ids, load_fixture
 from test_coalition import DIFFERENTIAL_FRAMEWORKS, non_monotone_group_entry
 from test_core import strength_tables
@@ -248,29 +255,91 @@ def test_enumeration_resolves_each_mask_once(monkeypatch):
 def test_family_grows_instead_of_probing_the_powerset(monkeypatch):
     # Each conflict-eliminable set is probed once for every bit above its
     # highest: 592 probes for 384 sets, where the powerset filter made 4,096.
+    # A probe names its new bit and reads only the records that bit reaches
+    # (699 ``best`` calls, where testing every member makes 2,210), yet it
+    # agrees with the full test on every mask it probes.
     fw = generate_random(RandomModelSpec(12, (1, 4), 0.25, "sum", 1))
-    masks, n, probes = _masks(fw), len(fw.arguments), 0
-    probe = _Masks.conflict_eliminable
+    masks, n, probes, reads = _masks(fw), len(fw.arguments), {}, Counter()
+    probe, best = _Masks.conflict_eliminable, _Masks.best
 
-    def counted(self, mask):
-        nonlocal probes
-        probes += 1
-        return probe(self, mask)
+    def counted(self, mask, new=0):
+        assert new == 1 << mask.bit_length() - 1, (mask, new)
+        assert mask not in probes, mask
+        probes[mask] = probe(self, mask, new)
+        return probes[mask]
+
+    def counted_best(self, rec, attackers, drop=0):
+        reads["best"] += 1
+        return best(self, rec, attackers, drop)
 
     monkeypatch.setattr(_Masks, "conflict_eliminable", counted)
+    monkeypatch.setattr(_Masks, "best", counted_best)
     family = semantics.enumerate_conflict_eliminable(fw)
-    grown = sum(n - masks.mask(s).bit_length() for s in family)
-    assert probes == grown <= len(family) * n
     monkeypatch.undo()
+    grown = sum(n - masks.mask(s).bit_length() for s in family)
+    assert len(probes) == grown <= len(family) * n
+    assert reads["best"] < sum(m.bit_count() for m in probes)
+    assert all(ok == masks.conflict_eliminable(m) for m, ok in probes.items())
     subsets = _subsets(fw.arguments, include_empty=True)
     assert family == [s for s in subsets if masks.conflict_eliminable(masks.mask(s))]
+
+
+def _persist(fw):
+    return Framework(fw.arguments, replace(fw.strengths, variant_policy="persist"))
+
+
+REACH_FRAMEWORKS = {
+    "seven-persist": lambda: _persist(load_fixture("seven")),
+    **{
+        f"group-{aggregator}-{policy}": functools.partial(
+            generate_group_entries, seed, aggregator, policy
+        )
+        for seed, (aggregator, policy) in enumerate(
+            itertools.product(("sum", "max", "explicit-only"), ("strict", "persist"))
+        )
+    },
+}
+
+
+@pytest.mark.parametrize("make", REACH_FRAMEWORKS.values(), ids=REACH_FRAMEWORKS)
+def test_reach_holds_every_attacking_instance(make):
+    # Every record is built before the reduced-capacity instances are
+    # interned, so only the update in ``_Masks.bit``/``_note`` puts those in
+    # a reach.  Then, on every target and every set of instances, two
+    # instances of one identifier included: a set with a strength lies in
+    # the reach, and the reach alone gives ``best`` its answer.
+    fw = make()
+    masks, tops = _masks(fw), Counter()
+    for a in fw.arguments | fw.strengths.instances():
+        tops[a.id] = max(tops[a.id], a.capacity)
+    masks.mask(fw.strengths.instances())
+    built = len(masks.args)
+    for i in range(built):
+        masks.record(i)
+    masks.mask(Arg(i, c) for i, top in tops.items() for c in range(1, top + 1))
+    assert len(masks.args) > built
+    everything = range(1 << len(masks.args))
+    sets = [masks.members(m) for m in everything]
+    defined = late = 0
+    for i in range(len(masks.args)):
+        rec = masks.record(i)
+        for m in everything:
+            if fw.strengths.strength(sets[m], rec.target) is not None:
+                defined += 1
+                late += m >= 1 << built
+                assert not m & ~rec.reach, (rec.target, sorted(sets[m]))
+            assert masks.best(rec, m) == masks.best(rec, m & rec.reach), (
+                rec.target, sorted(sets[m])
+            )
+    assert defined
+    if fw.strengths.variant_policy == "persist" and fw.strengths.aggregator != "explicit-only":
+        assert late  # a reduced-capacity instance attacks
 
 
 def test_conflict_eliminability_matches_definition_on_seven_under_persist():
     # seven under persist has variant ids and persist projections on most
     # targets; every mask of its base arguments against the definition
-    seven = load_fixture("seven")
-    fw = Framework(seven.arguments, replace(seven.strengths, variant_policy="persist"))
+    fw = _persist(load_fixture("seven"))
     masks = _masks(fw)
     probes = range(1 << len(fw.arguments))  # the base arguments hold the low bits
     answers = [masks.conflict_eliminable(m) for m in probes]

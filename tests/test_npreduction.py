@@ -10,12 +10,13 @@ from ceaf import (
     Arg,
     Framework,
     NPFramework,
+    StateRank,
     check_reduction,
     np_semantics,
     semantics,
     to_np,
 )
-from ceaf.core import SIZE_LIMIT_DEFAULT, ValidationReport, Violation, _subsets
+from ceaf.core import SIZE_LIMIT_DEFAULT, ValidationReport, Violation, _Masks, _subsets
 from ceaf.npreduction import (
     NP_KINDS,
     NotAnAttack,
@@ -279,71 +280,92 @@ def test_check_reduction_matches_reference(size, density, seed):
     assert str(report) == str(expected)
 
 
-# each claim's check can fail: the engine answers wrongly in one place, and the
+# each claim's check can fail: the engine answers wrongly in one place, on a
+# seam that both check_reduction and the reference pass through, and the
 # report names that claim, as the reference does
 
 
 def _wall():
-    # x -> y -> z, and w attacks nothing; {w, x, z} is the one preferred set
-    return _restricted([({"x"}, "y"), ({"y"}, "z")], "wxyz")
-
-
-def _at(fw, *names):
-    return frozenset(a for a in fw.arguments if a.id in names)
-
-
-def _flip(monkeypatch, name, answer, *at):
-    """``semantics.<name>`` gives ``answer`` for the arguments ``at`` and the
-    engine's answer elsewhere."""
-    real = getattr(semantics, name)
-    monkeypatch.setattr(
-        semantics, name, lambda fw, *key: answer if key == at else real(fw, *key)
+    # x -> y -> z, and w attacks nothing; {w, x, z} is the one preferred set.
+    # y has capacity 2, so a view strength of 1 on it is a c-attack that is
+    # not a c-defeat
+    w, x, y, z = Arg("w", 1), Arg("x", 1), Arg("y", 2), Arg("z", 1)
+    table = {(frozenset({x}), y): 2, (frozenset({y}), z): 1}
+    return Framework.build(
+        [w, x, y, z], table, aggregator="explicit-only", variant_policy="strict"
     )
 
 
-def _drop_from_family(monkeypatch, fw, s):
-    _flip(monkeypatch, "is_conflict_eliminable", False, s)
-    real = semantics._conflict_eliminable_sets
+def _mask(fw, *names):
+    """The mask of the named base arguments: bit i is the i-th sorted one."""
+    return sum(1 << i for i, a in enumerate(sorted(fw.arguments)) if a.id in names)
+
+
+def _flip(monkeypatch, owner, name, at, answer):
+    """``owner.<name>(first, *at)`` gives ``answer(first)``, and every other
+    call the engine's answer; the first argument is a mask context."""
+    real = getattr(owner, name)
     monkeypatch.setattr(
-        semantics,
-        "_conflict_eliminable_sets",
-        lambda fw: tuple(t for t in real(fw) if t != s),
+        owner,
+        name,
+        lambda first, *key: answer(first) if key == at else real(first, *key),
+    )
+
+
+def _view_strength(monkeypatch, fw, member, target, v):
+    at = (_mask(fw, member), _mask(fw, target))
+    _flip(monkeypatch, semantics, "_view_strongest", at, lambda masks: v)
+
+
+def _drop_from_family(monkeypatch, fw, *names):
+    m = _mask(fw, *names)
+    _flip(monkeypatch, _Masks, "eliminable", (m,), lambda masks: False)
+    real = semantics._family
+    monkeypatch.setattr(
+        semantics, "_family", lambda fw: {k: s for k, s in real(fw).items() if k != m}
     )
 
 
 FLIPS = {
     # (break the engine, the axioms the report must name)
+    # x attacks y with 2; a view strength of 1 is a c-attack but no c-defeat
     "c-defeat": (
-        lambda mp, fw: _flip(mp, "c_defeats", True, _at(fw, "w"), fw.by_id("x")),
+        lambda mp, fw: _view_strength(mp, fw, "x", "y", 1),
         {"c-attack = c-defeat"},
     ),
-    # c_attacks agrees with attacks and c_defeats, so one wrong answer breaks
-    # both halves of the claim
+    # w attacks nothing, so a view strength of 1 on y is a c-attack without
+    # an attack or a c-defeat: both halves of the claim break
     "c-attack": (
-        lambda mp, fw: _flip(mp, "c_attacks", True, _at(fw, "w"), fw.by_id("x")),
+        lambda mp, fw: _view_strength(mp, fw, "w", "y", 1),
         {"c-attack = attack", "c-attack = c-defeat"},
     ),
     # w attacks nothing, so the extra intrinsic argument changes no attack
     "intrinsic": (
-        lambda mp, fw: _flip(mp, "intrinsic", _at(fw, "w", "x"), _at(fw, "x")),
+        lambda mp, fw: _flip(
+            mp, _Masks, "intrinsic", (_mask(fw, "x"),), lambda _: _mask(fw, "w", "x")
+        ),
         {"intrinsic identity"},
     ),
     # a weakened member changes the view's arguments too, which intrinsic
     # identity already reports
     "weakened intrinsic": (
         lambda mp, fw: _flip(
-            mp, "intrinsic", frozenset({fw.by_id("w").with_capacity(0)}), _at(fw, "w")
+            mp,
+            _Masks,
+            "intrinsic",
+            (_mask(fw, "w"),),
+            lambda masks: masks.mask({fw.by_id("w").with_capacity(0)}),
         ),
         {"intrinsic identity"},
     ),
     # {y} is conflict-eliminable but not admissible
     "conflict-eliminable": (
-        lambda mp, fw: _drop_from_family(mp, fw, _at(fw, "y")),
+        lambda mp, fw: _drop_from_family(mp, fw, "y"),
         {"conflict-eliminable = conflict-free"},
     ),
     # the empty set is admissible but not preferred
     "c-admissible": (
-        lambda mp, fw: _flip(mp, "is_c_admissible", False, frozenset()),
+        lambda mp, fw: _flip(mp, semantics, "_rank", (0,), lambda _: StateRank.MIDDLE),
         {"c-admissible = admissible"},
     ),
 }

@@ -170,6 +170,24 @@ def test_c_preferred_matches_brute_force(request, random_models):
         assert semantics.enumerate_c_preferred(fw) == oracle.brute_c_preferred(fw)
 
 
+def test_nine_arguments_match_the_memoised_oracle():
+    # Past the brute guard: the release sweep's smallest 9-argument framework
+    # (seed 4).  Both enumerations as lists in ``_subsets`` order against the
+    # brute filters, then the intrinsic arguments and state rank of every
+    # conflict-eliminable set, and the c-preferred family.
+    fw = generate_random(RandomModelSpec(9, (1, 4), 0.25, "max", 4))
+    subsets = list(_subsets(fw.arguments, include_empty=True))
+    family = [s for s in subsets if oracle.brute_conflict_eliminable(fw, s)]
+    admissible = [s for s in subsets if oracle.brute_c_admissible(fw, s)]
+    assert semantics.enumerate_conflict_eliminable(fw) == family
+    assert semantics.enumerate_c_admissible(fw) == admissible
+    for s in family:
+        assert semantics.intrinsic(fw, s) == oracle.brute_alpha(fw, s), s
+        assert semantics.state_rank(fw, s) == oracle._brute_rank(fw, s), s
+    preferred = [s for s in admissible if not any(s < t for t in admissible)]
+    assert semantics.enumerate_c_preferred(fw) == preferred
+
+
 def test_profitability_matches_brute_force(request, random_models):
     for fw in all_fixtures(request) + random_models:
         subsets = list(_subsets(fw.arguments, include_empty=True))
